@@ -350,6 +350,8 @@ def _cmd_funceq_trace(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     rng = random.Random(args.seed)
     rows = []
     all_pass = True
@@ -430,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pins_actions = pins.add_subparsers(dest="action", required=True)
     p = pins_actions.add_parser("solve", help="witness plus optimality certificate")
     p.add_argument("--doubled-area", type=int, required=True, dest="doubled_area")
-    p.add_argument("--cap", type=int, default=None, help="budget cap for the family search")
+    p.add_argument("--cap", type=int, default=None, help="exit 2 if the minimum cost exceeds this cap")
     p.set_defaults(handler=_cmd_pins_solve)
     common(p)
     p = pins_actions.add_parser("oracle", help="exhaustive scan near the origin")

@@ -202,7 +202,8 @@ class Sqrt3:
         return (self - Sqrt3.of(other)).sign() >= 0
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational element must hash like the Fraction it equals
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     # -- conversion ----------------------------------------------------
 

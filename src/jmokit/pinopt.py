@@ -11,12 +11,15 @@ bounding box, and n moves can grow the box's width plus height to at most n,
 so D <= 2 * area_bound = (l*w) <= ((l+w)/2)^2 <= n^2/4; hence n >= ceil of
 the square root of 4D.
 
-Upper bounds come from the four-parameter family A = (-p, -q), B = (x, 0),
-C = (0, y) with doubled area x*y + q*x + p*y and cost p + q + x + y (axis
-reflections of the family change neither value, so enumerating the base
-family covers them).  When the family witness does not meet the lower bound,
-an exhaustive scan over small configurations can still certify optimality;
-otherwise the certificate honestly reports an upper bound and the gap.
+The bound is always met, by the four-parameter family A = (-p, -q),
+B = (x, 0), C = (0, y) with doubled area x*y + q*x + p*y and cost
+p + q + x + y.  With n = ceil(sqrt(4D)), X = floor(n/2), Y = ceil(n/2) and
+s = X*Y - D, the lower bound gives 0 <= s < Y, so (p, q, x, y) =
+(1, s, X - 1, Y - s), or (0, 0, X, Y) when s = 0, is a family member of cost
+n and doubled area D.  min_moves therefore runs one family search at the
+lower bound and reports its first member, which is certified optimal.
+Axis reflections of the family change neither value, so enumerating the
+base family covers them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from . import scan
 from .kernel import LatticePoint, isqrt_ceil_of_sqrt, shoelace_doubled
 
 CERTIFIED_OPTIMAL = "certified_optimal"
-UPPER_BOUND_ONLY = "upper_bound_only"
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,8 @@ class SolveCertificate:
     doubled_area_target: int
     lower_bound: int
     witness: PinState
-    status: str
-    gap: int  # witness cost minus best proven lower bound; 0 when certified
+    status: str  # always CERTIFIED_OPTIMAL; kept with gap for the envelope
+    gap: int  # witness cost minus the lower bound, always 0
 
 
 def lower_bound(doubled_area: int) -> int:
@@ -126,46 +128,17 @@ def oracle_min_moves(doubled_area: int, radius: int) -> int:
     return hit[0]
 
 
-def min_moves(
-    doubled_area: int,
-    budget_cap: Optional[int] = None,
-    scan_radius_cap: int = 16,
-) -> SolveCertificate:
-    """Best-known move count with an honest optimality status.
+def min_moves(doubled_area: int, budget_cap: Optional[int] = None) -> SolveCertificate:
+    """Certified minimum move count with the first family witness at the bound.
 
-    Budgets are tried from the lower bound upward; the first family hit is
-    the witness.  The certificate is certified_optimal when the witness
-    meets the lower bound, or when an exhaustive scan of every strictly
-    cheaper configuration (affordable only up to scan_radius_cap) comes up
-    empty; otherwise it is an upper bound with the remaining gap reported.
+    The closed form in the module docstring guarantees a family member at
+    the lower bound, so the only way to fail is a budget_cap below it.
     """
     bound = lower_bound(doubled_area)
-    cap = budget_cap if budget_cap is not None else bound + 32
-    witness = None
-    for budget in range(bound, cap + 1):
-        witness = family_search(doubled_area, budget)
-        if witness is not None:
-            break
-    if witness is None:
+    if budget_cap is not None and budget_cap < bound:
         raise ValueError(
             f"budget cap exceeded: no family witness for doubled area "
-            f"{doubled_area} within cost {cap}"
+            f"{doubled_area} within cost {budget_cap}"
         )
-
-    cost = witness.move_cost
-    if cost == bound:
-        return SolveCertificate(doubled_area, bound, witness, CERTIFIED_OPTIMAL, 0)
-
-    # Any strictly cheaper triangle has, after translating its coordinate
-    # medians to the origin, every pin within L1 norm cost-1, so a scan at
-    # radius cost-1 either finds the true optimum or proves the witness is it.
-    if cost - 1 <= scan_radius_cap:
-        hit = scan.min_cost_triangle(doubled_area, cost - 1, cost_cap=cost - 1)
-        if hit is None:
-            return SolveCertificate(doubled_area, cost, witness, CERTIFIED_OPTIMAL, 0)
-        better_cost, pins = hit
-        better = PinState(*pins)
-        return SolveCertificate(
-            doubled_area, better_cost, better, CERTIFIED_OPTIMAL, 0
-        )
-    return SolveCertificate(doubled_area, bound, witness, UPPER_BOUND_ONLY, cost - bound)
+    witness = family_search(doubled_area, bound)
+    return SolveCertificate(doubled_area, bound, witness, CERTIFIED_OPTIMAL, 0)

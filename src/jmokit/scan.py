@@ -1,40 +1,21 @@
-"""Minimum-cost lattice-triangle scan with backend selection.
+"""Minimum-cost lattice-triangle scan.
 
 The scan enumerates all triangles whose three vertices have L1 norm at most
 radius and whose total L1 cost is within a cap, and reports the cheapest one
-with a prescribed doubled area.  The compiled core (_scan_c, Cython) is used
-when it was built; otherwise the numpy fallback (_scan_py) is selected at
-import.  Setting JMOKIT_PURE=1 forces the fallback.  Both backends implement
-the identical contract, including the tie-breaking rule for the witness, so
-swapping them never changes a result (benchmarks/bench_kernels.py checks and
-times both).
+with a prescribed doubled area.  It is a two-pass numpy scan: the first pass
+finds the minimum cost, the second the canonical witness at that cost.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .kernel import LatticePoint
 
-if os.environ.get("JMOKIT_PURE"):
-    from . import _scan_py as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _scan_c as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _scan_py as _impl
-
-        BACKEND = "python"
-
 
 def backend_name() -> str:
-    return BACKEND
+    # Constant: kept because JSON envelopes and bench records carry it.
+    return "python"
 
 
 def ball_points(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,7 +46,7 @@ def min_cost_triangle(
     if radius < 1:
         raise ValueError("radius must be >= 1")
     cost, px, py = ball_points(radius)
-    hit = _impl.scan(cost, px, py, doubled_area, cost_cap)
+    hit = _scan(cost, px, py, doubled_area, cost_cap)
     if hit is None:
         return None
     best, i, j, k = hit
@@ -73,3 +54,49 @@ def min_cost_triangle(
         LatticePoint(int(px[idx]), int(py[idx])) for idx in (i, j, k)
     )
     return int(best), pins
+
+
+def _scan(cost: np.ndarray, px: np.ndarray, py: np.ndarray,
+          target: int, cost_cap: int):
+    """Return (best_cost, i, j, k) with i <= j <= k, or None.
+
+    The arrays must be int64 and sorted by (cost, x, y).  Among the triples
+    whose triangle has the target doubled area and whose total cost is
+    within cost_cap, the result is the cheapest, and the lexicographically
+    first among equally cheap ones.
+    """
+    n = len(cost)
+    best = -1
+    # pass 1: minimum total cost among matching triples
+    for i in range(n):
+        ci = int(cost[i])
+        if 3 * ci > cost_cap:
+            break
+        if best >= 0 and 3 * ci >= best:
+            break
+        dx = px[i:] - px[i]
+        dy = py[i:] - py[i]
+        cross = dx[:, None] * dy[None, :] - dy[:, None] * dx[None, :]
+        tot = ci + cost[i:, None] + cost[None, i:]
+        mask = np.triu(np.abs(cross) == target) & (tot <= cost_cap)
+        if best >= 0:
+            mask &= tot < best
+        if mask.any():
+            best = int(tot[mask].min())
+    if best < 0:
+        return None
+    # pass 2: lexicographically first (i, j, k) achieving the minimum
+    for i in range(n):
+        ci = int(cost[i])
+        if 3 * ci > best:
+            break
+        dx = px[i:] - px[i]
+        dy = py[i:] - py[i]
+        cross = dx[:, None] * dy[None, :] - dy[:, None] * dx[None, :]
+        tot = ci + cost[i:, None] + cost[None, i:]
+        mask = np.triu(np.abs(cross) == target) & (tot == best)
+        hits = np.argwhere(mask)
+        if len(hits):
+            j, k = hits[0]  # argwhere rows come out in (j, k) lex order
+            return best, i, i + int(j), i + int(k)
+    raise AssertionError("scan pass 2 lost the minimum found in pass 1")

@@ -182,6 +182,13 @@ def test_rect_batch_perturbed_fails(capsys):
     assert all(r["line_defect_rel"] > 1e-4 for r in env["rows"])
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_rect_batch_rejects_nonpositive_count(capsys, count):
+    code = cli.run(["rect", "batch", "--count", count])
+    assert code == 2
+    assert "--count" in capsys.readouterr().err
+
+
 def test_rect_render(capsys, tmp_path):
     svg = tmp_path / "rect.svg"
     code, _ = run_cli(capsys, "rect", "render", "--seed", "3", "--svg", str(svg))

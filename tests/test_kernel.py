@@ -137,6 +137,12 @@ def test_sqrt3_arithmetic():
     assert Sqrt3(0, 1) * Sqrt3(0, 1) == 3
 
 
+def test_sqrt3_hash_agrees_with_equal_rationals():
+    assert len({Sqrt3(1), Fraction(1), 1}) == 1
+    assert len({Sqrt3(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({Sqrt3(1, 1), Sqrt3(1), Sqrt3(0, 1)}) == 3
+
+
 def test_sqrt3_sign_matches_float():
     rng = random.Random(4)
     for _ in range(2000):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from jmokit import _scan_py, scan
+from jmokit import scan
 from jmokit.kernel import LatticePoint
 from jmokit.pinopt import (
     CERTIFIED_OPTIMAL,
@@ -101,6 +101,7 @@ def test_min_moves_three():
 def test_min_moves_budget_cap():
     with pytest.raises(ValueError, match="budget cap exceeded"):
         min_moves(5, budget_cap=4)
+    assert min_moves(5, budget_cap=5) == min_moves(5)
 
 
 def test_min_moves_witness_area_is_exact():
@@ -134,19 +135,56 @@ def test_bounding_box_dominates_doubled_area():
     assert np.all(doubled <= box)
 
 
-def test_backends_agree_exactly():
-    try:
-        from jmokit import _scan_c
-    except ImportError:
-        pytest.skip("compiled scan core not built")
+def reference_min_cost_triangle(doubled_area, radius, cost_cap):
+    """Plain triple loop over ball_points: cheapest, then first (i, j, k)."""
+    cost, px, py = (a.tolist() for a in scan.ball_points(radius))
+    n = len(cost)
+    best = None
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                tot = cost[i] + cost[j] + cost[k]
+                cross = ((px[j] - px[i]) * (py[k] - py[i])
+                         - (py[j] - py[i]) * (px[k] - px[i]))
+                if tot <= cost_cap and abs(cross) == doubled_area:
+                    best = min(best or (tot, i, j, k), (tot, i, j, k))
+    if best is None:
+        return None
+    tot, *idx = best
+    return tot, tuple(LatticePoint(px[t], py[t]) for t in idx)
+
+
+def test_scan_matches_triple_loop_reference():
     rng = random.Random(23)
-    cases = [(d, lower_bound(d) + 2) for d in range(1, 26)]
-    cases += [(rng.randint(1, 80), rng.randint(5, 14)) for _ in range(20)]
-    for doubled, radius in cases:
-        cost, px, py = scan.ball_points(radius)
-        res_c = _scan_c.scan(cost, px, py, doubled, 2 * radius)
-        res_py = _scan_py.scan(cost, px, py, doubled, 2 * radius)
-        assert res_c == res_py, (doubled, radius)
+    cases = [(d, lower_bound(d), 2 * lower_bound(d)) for d in range(1, 17)]
+    cases += [(rng.randint(1, 40), r, rng.randint(r, 2 * r))
+              for r in (rng.randint(2, 5) for _ in range(16))]
+    cases += [(50, 1, 2), (30, 4, 5)]  # out of reach: both give None
+    for doubled, radius, cap in cases:
+        expected = reference_min_cost_triangle(doubled, radius, cap)
+        assert scan.min_cost_triangle(doubled, radius, cap) == expected, (doubled, radius, cap)
+
+
+def closed_form_member(doubled_area):
+    """The family member of the module docstring, of cost lower_bound(D)."""
+    n = lower_bound(doubled_area)
+    big_x, big_y = n // 2, (n + 1) // 2
+    s = big_x * big_y - doubled_area
+    if s == 0:
+        return family_state(0, 0, big_x, big_y)
+    return family_state(1, s, big_x - 1, big_y - s)
+
+
+def test_closed_form_meets_lower_bound():
+    for doubled in range(1, 20_001):
+        state = closed_form_member(doubled)
+        assert state.move_cost == lower_bound(doubled), doubled
+        assert state.doubled_area == doubled, doubled
+
+
+def test_family_search_meets_lower_bound():
+    for doubled in range(1, 2_001):
+        assert family_search(doubled, lower_bound(doubled)) is not None, doubled
 
 
 def test_scan_witness_is_canonical():
