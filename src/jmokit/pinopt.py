@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import scan
 from .kernel import LatticePoint, isqrt_ceil_of_sqrt, shoelace_doubled
@@ -73,25 +73,26 @@ def family_state(p: int, q: int, x: int, y: int) -> PinState:
 def family_search(doubled_area: int, budget: int) -> Optional[PinState]:
     """First family member with the exact doubled area at the exact budget.
 
-    Enumerates p ascending, then q, then x (y = budget - p - q - x); for
+    Enumerates p ascending, then q, then x (y = budget - p - q - x).  For
     fixed (p, q) the x satisfying x*y + q*x + p*y = D are the integer roots
-    of x^2 - (s + q - p)x + (D - p*s) = 0 with s = budget - p - q, so each
-    (p, q) costs one integer square root.
+    of x^2 - (budget - 2p)x + (D - p*s) = 0 with s = budget - p - q, whose
+    discriminant is c - 4pq with c = budget^2 - 4D.  Row p = 0 has the
+    discriminant c for every q, and when c is a square q = 0 already holds a
+    member (x = (budget - sqrt(c))/2), so only q = 0 is checked there.  Row
+    p > 0 walks the roots r of its square discriminants downward from
+    isqrt(c), which visits q = (c - r^2)/(4p) in ascending order, so each
+    row costs at most isqrt(c) + 1 steps.
     """
     if doubled_area < 1:
         raise ValueError("doubled_area must be >= 1")
-    if budget < 0:
+    c = budget * budget - 4 * doubled_area
+    if budget < 0 or c < 0:
         return None
+    top = math.isqrt(c)
     for p in range(budget + 1):
-        for q in range(budget - p + 1):
+        b = budget - 2 * p
+        for q, r in _square_discriminants(c, top, p, budget - p):
             s = budget - p - q
-            b = s + q - p
-            disc = b * b - 4 * (doubled_area - p * s)
-            if disc < 0:
-                continue
-            r = math.isqrt(disc)
-            if r * r != disc:
-                continue
             for t in (b - r, b + r):
                 if t < 0 or t % 2 or t // 2 > s:
                     continue
@@ -102,6 +103,24 @@ def family_search(doubled_area: int, budget: int) -> Optional[PinState]:
                 if r == 0:
                     break
     return None
+
+
+def _square_discriminants(c: int, top: int, p: int, q_max: int) -> Iterator[tuple[int, int]]:
+    """(q, r) in ascending q with r*r = c - 4pq, r >= 0 and 0 <= q <= q_max.
+
+    For p = 0 only q = 0 is yielded; family_search's docstring says why that
+    loses no member.
+    """
+    if p == 0:
+        if top * top == c:
+            yield 0, top
+        return
+    for r in range(top, -1, -1):
+        q, rem = divmod(c - r * r, 4 * p)
+        if q > q_max:
+            return
+        if rem == 0:
+            yield q, r
 
 
 def oracle_min_moves(doubled_area: int, radius: int) -> int:

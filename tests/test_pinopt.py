@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -185,6 +186,45 @@ def test_closed_form_meets_lower_bound():
 def test_family_search_meets_lower_bound():
     for doubled in range(1, 2_001):
         assert family_search(doubled, lower_bound(doubled)) is not None, doubled
+
+
+def _q_walk_family_search(doubled_area, budget):
+    # the family search as a walk over every (p, q), one square root each
+    for p in range(budget + 1):
+        for q in range(budget - p + 1):
+            s = budget - p - q
+            b = s + q - p
+            disc = b * b - 4 * (doubled_area - p * s)
+            if disc < 0:
+                continue
+            r = math.isqrt(disc)
+            if r * r != disc:
+                continue
+            for t in (b - r, b + r):
+                if t < 0 or t % 2 or t // 2 > s:
+                    continue
+                x = t // 2
+                y = s - x
+                if x * y + q * x + p * y == doubled_area:
+                    return family_state(p, q, x, y)
+                if r == 0:
+                    break
+    return None
+
+
+def test_family_search_matches_q_walk():
+    for doubled in range(1, 400):
+        for budget in range(-1, 45):
+            assert family_search(doubled, budget) == _q_walk_family_search(doubled, budget), (
+                doubled, budget)
+
+
+def test_min_moves_certifies_eighteen_digit_areas():
+    for doubled in (10**17 + 3, 123_456_789_012_345_678, 999_999_999_999_999_989):
+        cert = min_moves(doubled)
+        assert cert.status == CERTIFIED_OPTIMAL
+        assert cert.witness.move_cost == cert.lower_bound == lower_bound(doubled)
+        assert cert.witness.doubled_area == doubled
 
 
 def test_scan_witness_is_canonical():

@@ -1,10 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import takewhile
 
 import pytest
 
-from jmokit.kernel import Sqrt3
+from jmokit.kernel import SQRT3, Sqrt3
 from jmokit.tripack import (
+    _floor,
+    _inside,
+    _integer_form,
     HexGauge,
     PackingInstance,
     dump_packing,
@@ -88,7 +93,11 @@ def test_overlap_equivalence_on_random_pairs():
             continue
         base = (_random_sqrt3(rng, 3), _random_sqrt3(rng, 3))
         other = (base[0] + dx, base[1] + dy)
-        assert triangles_overlap_exact(base, other) == hex_gauge_overlap(base, other)
+        overlap = triangles_overlap_exact(base, other)
+        assert overlap == hex_gauge_overlap(base, other)
+        # and the integer route of validate_packing agrees with both
+        report = validate_packing(PackingInstance(side_len=F(4), anchors=[base, other]))
+        assert report.first_overlap == ((0, 1) if overlap else None)
         checked += 1
 
 
@@ -209,6 +218,181 @@ def test_grid_and_bruteforce_validation_agree():
     assert validate_packing(bad, use_grid=True) == validate_packing(bad, use_grid=False)
 
 
+# -- integer verdicts against the Sqrt3 predicates ---------------------------
+
+
+def _reference_verdicts(instance):
+    """(first_outside, first_overlap) from the Sqrt3 predicates, all pairs."""
+    side, anchors = instance.side_len, instance.anchors
+    first_outside = next(
+        (k for k, a in enumerate(anchors) if not triangle_inside_delta(a, side)), None
+    )
+    first_overlap = next(
+        ((i, j) for j in range(len(anchors)) for i in range(j)
+         if triangles_overlap_exact(anchors[i], anchors[j])),
+        None,
+    )
+    return first_outside, first_overlap
+
+
+def _verdicts(instance, use_grid=True):
+    report = validate_packing(instance, use_grid=use_grid)
+    return report.first_outside, report.first_overlap
+
+
+def test_integer_route_matches_sqrt3_on_random_packings():
+    # subsets of lattice packings (neighbours touch at gauge exactly 1) with
+    # anchors nudged by irrational amounts, duplicated or pushed out of Delta
+    rng = random.Random(2024)
+
+    def nudge():
+        return Sqrt3(F(rng.randint(-6, 6), 16), F(rng.randint(-3, 3), 16))
+
+    seen = Counter()
+    for _ in range(150):
+        side = F(rng.randint(16, 40), 4)
+        lattice = tessellate(side).anchors
+        anchors = rng.sample(lattice, rng.randint(2, min(10, len(lattice))))
+        for k in range(len(anchors)):
+            if rng.random() < 0.3:
+                anchors[k] = (anchors[k][0] + nudge(), anchors[k][1] + nudge())
+        if rng.random() < 0.2:
+            anchors.append(rng.choice(anchors))
+        if rng.random() < 0.2:
+            k = rng.randrange(len(anchors))
+            anchors[k] = (anchors[k][0] - side / 2 + nudge(), anchors[k][1])
+        instance = PackingInstance(side_len=side, anchors=anchors)
+        expected = _reference_verdicts(instance)
+        assert _verdicts(instance) == expected
+        assert _verdicts(instance, use_grid=False) == expected
+        seen["outside" if expected[0] is not None else "inside"] += 1
+        seen["overlap" if expected[1] is not None else "disjoint"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_integer_floor_matches_sqrt3_floor():
+    # the grid cells of validate_packing, including exact integers and
+    # negative sqrt(3) parts
+    rng = random.Random(5)
+    for _ in range(3000):
+        v = _random_sqrt3(rng, 3)
+        d, x, x3, _, _ = _integer_form((v, Sqrt3(0)))
+        assert _floor(x, x3, d) == v.floor(), v
+
+
+def _turn60(p):
+    x, y = p
+    return (x * F(1, 2) - y * SQRT3_HALF, x * SQRT3_HALF + y * F(1, 2))
+
+
+def test_integer_route_at_gauge_exactly_one():
+    # boundary points of the unit hexagon: the vertex (1, 0), the edge
+    # midpoint (3/4, sqrt(3)/4) and the irrational point
+    # (3/2 - sqrt(3)/2, 3/2 - sqrt(3)/2) of the same edge, in all six turns
+    points = [(Sqrt3(1), Sqrt3(0)), (Sqrt3(F(3, 4)), SQRT3_QUARTER),
+              (Sqrt3(F(3, 2), F(-1, 2)), Sqrt3(F(3, 2), F(-1, 2)))]
+    for _ in range(5):
+        points += [_turn60(p) for p in points[-3:]]
+    base = (Sqrt3(F(9, 2), F(1, 3)), Sqrt3(F(5, 2), F(1, 2)))
+    for d in points:
+        assert hex_gauge(d) == 1
+        for scale, overlap in ((F(63, 64), True), (F(1), False), (F(65, 64), False)):
+            other = (base[0] + d[0] * scale, base[1] + d[1] * scale)
+            instance = PackingInstance(side_len=F(12), anchors=[base, other])
+            expected = (None, (0, 1) if overlap else None)
+            assert _reference_verdicts(instance) == expected
+            assert _verdicts(instance) == expected
+
+
+def test_integer_containment_on_inset_edges():
+    # a vertex exactly on an inset edge of Delta, then nudged either way
+    on_edge = 0
+    for side, margin in ((F(6), F(0)), (F(6), F(1, 4)), (F(29, 4), F(1, 3))):
+        xl = Sqrt3(2, F(1, 7))
+        xb = Sqrt3(side / 2, F(1, 9))
+        anchors = [
+            (xb, margin + SQRT3_HALF),                            # bottom vertex on the base
+            (xl, SQRT3 * (xl - F(1, 2)) - 2 * margin),            # left vertex on the left edge
+            (side - xl, SQRT3 * (xl - F(1, 2)) - 2 * margin),     # right vertex on the right edge
+        ]
+        for ax, ay in anchors:
+            for eps in (F(-1, 1000), F(0), F(1, 1000)):
+                for a in ((ax + eps, ay), (ax, ay + eps)):
+                    expected = triangle_inside_delta(a, side, margin)
+                    assert _inside(*_integer_form(a, side, margin), side, margin) == expected
+                    on_edge += expected and eps == 0
+    assert on_edge == 18
+
+
+def _lattice_candidates(side):
+    # the tessellation lattice over the index ranges tessellate scans
+    for m in range(int(2 * side) - 2):
+        for i in range(-1, int(4 * (side - 2) / 3) + 3):
+            if (i - m) % 2 == 0:
+                yield (Sqrt3(1 + F(3 * i, 4)), Sqrt3(0, F(2 + m, 4)))
+
+
+def test_tessellate_matches_sqrt3_clipping():
+    for side in (F(4), F(19, 4), F(6), F(29, 2)):
+        for margin in (F(0), F(1, 4), F(1, 3), F(3, 2)):
+            expected = [a for a in _lattice_candidates(side)
+                        if triangle_inside_delta(a, side, margin)]
+            assert tessellate(side, margin).anchors == expected
+
+
+def _primes_from_eleven(count):
+    primes = [2, 3, 5, 7]
+    n = 11
+    while len(primes) < count + 4:
+        if all(n % p for p in takewhile(lambda p: p * p <= n, primes)):
+            primes.append(n)
+        n += 2
+    return primes[4:]
+
+
+def _grid_reference_overlap(anchors):
+    # the Sqrt3 route behind a grid of unit cells, for files too large for all pairs
+    cells = {}
+    for j, a in enumerate(anchors):
+        key = (a[0].floor(), a[1].floor())
+        near = sorted(i for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                      for i in cells.get((key[0] + dx, key[1] + dy), ()))
+        for i in near:
+            if triangles_overlap_exact(anchors[i], anchors[j]):
+                return (i, j)
+        cells.setdefault(key, []).append(j)
+    return None
+
+
+def test_integer_route_on_distinct_prime_denominators():
+    # 1,500 anchors whose x components have pairwise distinct prime
+    # denominators: rows sqrt(3) apart, anchors about 2 apart in a row
+    primes = _primes_from_eleven(1502)
+    side = F(120)
+    anchors = []
+    j = 0
+    while len(anchors) < 1500:
+        y = Sqrt3(0, 1 + j)
+        for i in range(int((side - 4 - 2 * j) / 2) + 1):
+            if len(anchors) < 1500:
+                x = F(3, 2) + j + 2 * i + F(1, primes[len(anchors)])
+                anchors.append((Sqrt3(x), y))
+        j += 1
+    instance = PackingInstance(side_len=side, anchors=anchors)
+    assert all(triangle_inside_delta(a, side) for a in anchors)
+    assert _grid_reference_overlap(anchors) is None
+    assert _verdicts(instance) == (None, None)
+    # one planted overlap, then one planted outside anchor, each with a new prime
+    twin = (anchors[700][0] + F(1, primes[1500]), anchors[700][1])
+    assert triangles_overlap_exact(anchors[700], twin)
+    instance = PackingInstance(side_len=side, anchors=anchors + [twin])
+    assert _verdicts(instance) == (None, (700, 1500))
+    out = (Sqrt3(F(-1, primes[1501])), Sqrt3(0, 2))
+    assert not triangle_inside_delta(out, side)
+    instance = PackingInstance(side_len=side, anchors=anchors[:1000] + [out] + anchors[1000:])
+    assert _verdicts(instance) == (1000, None)
+
+
 # -- tessellation -----------------------------------------------------------
 
 
@@ -243,6 +427,13 @@ def test_tessellate_density_at_sixty():
     assert report.valid
     assert report.count >= 2208  # (2/3 - 0.05) * 3600
     assert report.count <= 2400  # (2/3) * 3600
+
+
+def test_tessellate_boundary_loss_is_linear():
+    # the loss (2/3)L^2 - n(L) stays within (0, (5/3)L], so eps(L) <= 5/(3L)
+    for side in range(4, 61):
+        loss = F(2, 3) * side * side - tessellate(side).count
+        assert 0 < loss <= F(5, 3) * side, side
 
 
 def test_tessellate_rational_side():
