@@ -40,12 +40,13 @@ class FunctionTable:
             if not values:
                 raise ValueError("empty table")
             limit = max(values)
+            if len(values) != limit:
+                # probe before allocating: one-line tables can name a huge n
+                missing = next(n for n in range(1, len(values) + 2) if n not in values)
+                raise ValueError(f"table has no value for n = {missing}")
             seq = [0] * (limit + 1)
             for n, v in values.items():
                 seq[n] = v
-            if len(values) != limit:
-                missing = next(n for n in range(1, limit + 1) if seq[n] == 0)
-                raise ValueError(f"table has no value for n = {missing}")
         else:
             seq = [0] + list(values)
             limit = len(seq) - 1
@@ -204,6 +205,8 @@ def parse_table(text: str) -> FunctionTable:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'n value', got {raw!r}")
         n, v = int(parts[0]), int(parts[1])
+        if n < 1:
+            raise ValueError(f"line {lineno}: n = {n} is not a positive integer")
         if n in values:
             raise ValueError(f"line {lineno}: duplicate entry for n = {n}")
         values[n] = v

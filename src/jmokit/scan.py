@@ -2,8 +2,10 @@
 
 The scan enumerates all triangles whose three vertices have L1 norm at most
 radius and whose total L1 cost is within a cap, and reports the cheapest one
-with a prescribed doubled area.  It is a two-pass numpy scan: the first pass
-finds the minimum cost, the second the canonical witness at that cost.
+with a prescribed doubled area.  It is a one-pass numpy scan: each row only
+looks at partners cheap enough to beat the best cost so far, in blocks of at
+most 2**15 matrix entries or one row, so memory grows linearly with the
+number of points, not quadratically.
 """
 
 from __future__ import annotations
@@ -11,6 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import LatticePoint
+
+# Entries in the (block of j) x (range of k) matrices of one unit: 256 KB
+# per int64 temporary, unless one row is longer (radius 128 and up).  Blocks
+# this small follow the cost bound on k closely; below 2**13, per-block
+# overhead takes over.
+_BLOCK = 1 << 15
 
 
 def backend_name() -> str:
@@ -64,39 +72,39 @@ def _scan(cost: np.ndarray, px: np.ndarray, py: np.ndarray,
     whose triangle has the target doubled area and whose total cost is
     within cost_cap, the result is the cheapest, and the lexicographically
     first among equally cheap ones.
+
+    One pass over units (i, block of j) in lexicographic order.  A triple
+    cheaper than the best so far has c_j <= (best - 1 - c_i) // 2 and
+    c_k <= best - 1 - c_i - c_j, so each block takes its rows j and its
+    columns k from prefixes of the sorted costs, found again before every
+    block with c_j read at the block's first j.  Columns start at that j,
+    and a block is one row or at most _BLOCK matrix entries.  A unit
+    records its first cheapest match only when it is strictly cheaper than
+    the best so far, so the first unit to reach the final minimum keeps
+    the canonical triple.
     """
-    n = len(cost)
-    best = -1
-    # pass 1: minimum total cost among matching triples
-    for i in range(n):
+    best, hit = cost_cap + 1, None
+    for i in range(len(cost)):
         ci = int(cost[i])
-        if 3 * ci > cost_cap:
+        if 3 * ci >= best:
             break
-        if best >= 0 and 3 * ci >= best:
-            break
-        dx = px[i:] - px[i]
-        dy = py[i:] - py[i]
-        cross = dx[:, None] * dy[None, :] - dy[:, None] * dx[None, :]
-        tot = ci + cost[i:, None] + cost[None, i:]
-        mask = np.triu(np.abs(cross) == target) & (tot <= cost_cap)
-        if best >= 0:
-            mask &= tot < best
-        if mask.any():
-            best = int(tot[mask].min())
-    if best < 0:
-        return None
-    # pass 2: lexicographically first (i, j, k) achieving the minimum
-    for i in range(n):
-        ci = int(cost[i])
-        if 3 * ci > best:
-            break
-        dx = px[i:] - px[i]
-        dy = py[i:] - py[i]
-        cross = dx[:, None] * dy[None, :] - dy[:, None] * dx[None, :]
-        tot = ci + cost[i:, None] + cost[None, i:]
-        mask = np.triu(np.abs(cross) == target) & (tot == best)
-        hits = np.argwhere(mask)
-        if len(hits):
-            j, k = hits[0]  # argwhere rows come out in (j, k) lex order
-            return best, i, i + int(j), i + int(k)
-    raise AssertionError("scan pass 2 lost the minimum found in pass 1")
+        a = i
+        while True:
+            j_end = int(np.searchsorted(cost, (best - 1 - ci) // 2, side="right"))
+            if a >= j_end:
+                break
+            m = int(np.searchsorted(cost, best - 1 - ci - int(cost[a]), side="right"))
+            b = min(j_end, a + max(1, _BLOCK // (m - a)))
+            dx = px[a:m] - px[i]
+            dy = py[a:m] - py[i]
+            cross = dx[:b - a, None] * dy - dy[:b - a, None] * dx
+            jk = np.argwhere(np.abs(cross) == target)  # (j - a, k - a) in lex order
+            jk = jk[jk[:, 1] >= jk[:, 0]] + a
+            if len(jk):
+                tot = ci + cost[jk[:, 0]] + cost[jk[:, 1]]
+                t = int(np.argmin(tot))  # first of the cheapest
+                if tot[t] < best:
+                    best = int(tot[t])
+                    hit = (best, i, int(jk[t, 0]), int(jk[t, 1]))
+            a = b
+    return hit

@@ -1,5 +1,8 @@
+import contextlib
 import json
+import resource
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +160,38 @@ def test_funceq_check_mutated_table(capsys, tmp_path):
     env = json.loads(out)
     assert env["violation_count"] >= 1
     assert env["violations"][0]["kind"] == "sum_rule"
+
+
+@contextlib.contextmanager
+def address_space_headroom(extra_bytes):
+    """Cap this process's address space at its current size plus extra_bytes,
+    so that a runaway allocation raises MemoryError instead of exhausting the
+    machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    used = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    resource.setrlimit(resource.RLIMIT_AS, (used + extra_bytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def test_funceq_check_huge_sparse_table_exits_two(capsys, tmp_path):
+    # one line naming n = 10^9: the missing n = 1 is found before any allocation
+    table = tmp_path / "table.txt"
+    table.write_text("1000000000 1\n")
+    with address_space_headroom(2**30):
+        code = cli.run(["funceq", "check", "--input", str(table)])
+    assert code == 2
+    assert "table has no value for n = 1" in capsys.readouterr().err
+
+
+def test_funceq_check_rejects_nonpositive_n(capsys, tmp_path):
+    table = tmp_path / "table.txt"
+    for text in ("0 5\n1 1\n", "-5 1\n"):
+        table.write_text(text)
+        assert cli.run(["funceq", "check", "--input", str(table)]) == 2
+        assert "is not a positive integer" in capsys.readouterr().err
 
 
 def test_funceq_trace(capsys):

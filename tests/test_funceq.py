@@ -45,8 +45,10 @@ def test_table_rejects_nonpositive_values():
 
 
 def test_table_rejects_gaps():
-    with pytest.raises(ValueError):
-        FunctionTable({1: 1, 3: 1})
+    for values, missing in (({1: 1, 3: 1}, 2), ({10**9: 1}, 1), ({2: 1, 3: 1, 10**12: 1}, 1),
+                            ({n: 1 for n in range(1, 50)} | {10**9: 1}, 50)):
+        with pytest.raises(ValueError, match=f"no value for n = {missing}$"):
+            FunctionTable(values)
 
 
 def test_forced_trace_base_cases():

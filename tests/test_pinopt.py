@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,15 +156,41 @@ def reference_min_cost_triangle(doubled_area, radius, cost_cap):
     return tot, tuple(LatticePoint(px[t], py[t]) for t in idx)
 
 
-def test_scan_matches_triple_loop_reference():
+def scan_reference_cases():
+    """34 (doubled area, radius, cap) cases with radius <= 8."""
     rng = random.Random(23)
     cases = [(d, lower_bound(d), 2 * lower_bound(d)) for d in range(1, 17)]
     cases += [(rng.randint(1, 40), r, rng.randint(r, 2 * r))
               for r in (rng.randint(2, 5) for _ in range(16))]
     cases += [(50, 1, 2), (30, 4, 5)]  # out of reach: both give None
-    for doubled, radius, cap in cases:
+    return cases
+
+
+def test_scan_matches_triple_loop_reference():
+    for doubled, radius, cap in scan_reference_cases():
         expected = reference_min_cost_triangle(doubled, radius, cap)
         assert scan.min_cost_triangle(doubled, radius, cap) == expected, (doubled, radius, cap)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_scan_chunk_boundaries_match_reference(monkeypatch, block):
+    # blocks of one row, and blocks cut mid-row: every unit boundary is exercised
+    monkeypatch.setattr(scan, "_BLOCK", block)
+    for doubled, radius, cap in scan_reference_cases():
+        expected = reference_min_cost_triangle(doubled, radius, cap)
+        assert scan.min_cost_triangle(doubled, radius, cap) == expected, (block, doubled, radius, cap)
+
+
+def test_scan_memory_is_bounded():
+    # 20,201 points at radius 100: one n x n int64 matrix would take 3 GB
+    tracemalloc.start()
+    try:
+        hit = scan.min_cost_triangle(4, 100, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hit is not None and hit[0] == 4
+    assert peak < 64 * 2**20, peak
 
 
 def closed_form_member(doubled_area):
@@ -238,6 +265,11 @@ def test_scan_witness_is_canonical():
     )
     assert doubled == 2
     assert sum(p.l1() for p in pins) == 3
+
+
+def test_scan_cost_cap_is_inclusive():
+    assert scan.min_cost_triangle(2, 3, cost_cap=3)[0] == 3
+    assert scan.min_cost_triangle(2, 3, cost_cap=2) is None
 
 
 def test_scan_returns_none_when_unreachable():
