@@ -9,13 +9,16 @@ Every run produces a report envelope; --json prints it as canonical JSON
 output.  Wall-clock timings are filled in only with --timings.  Exit codes:
 0 for success verdicts (an empty search result is a result, not an error),
 1 for checked failures (violations found, certification failed), 2 for
-usage errors, malformed inputs, and exhausted budgets.
+usage errors, malformed inputs, and exhausted budgets.  Every error that
+exits 2 is a ValueError (UsageError and gcdperfect.BudgetExceeded included),
+and run() maps it to exit 2 in one place.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -67,8 +70,28 @@ def _write(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
+
+
+def _parse_file(parse, path: str, what: str):
+    """parse() of the file's text; a malformed file exits 2 naming its kind."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad {what} file: {exc}") from exc
+
+
+def _finite(raw: str) -> float:
+    """argparse type for tolerances and factors: inf and nan are usage errors."""
+    try:
+        value = float(raw)
+    except ValueError:  # argparse's own wording for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
+    return value
 
 
 def _int_list(raw: str) -> list[int]:
@@ -146,11 +169,14 @@ def _cmd_gcdset_construct(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_gcdset_search(args) -> tuple[int, dict, list[str]]:
-    budget = args.budget or int(os.environ.get("JMOKIT_NODE_BUDGET", 10**6))
-    try:
-        sets = gcdperfect.search_size(args.size, args.max, node_budget=budget)
-    except gcdperfect.BudgetExceeded as exc:
-        raise UsageError(str(exc)) from exc
+    budget = args.budget
+    if budget is None:
+        raw = os.environ.get("JMOKIT_NODE_BUDGET", str(10**6))
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise UsageError(f"JMOKIT_NODE_BUDGET must be an integer, got {raw!r}") from None
+    sets = gcdperfect.search_size(args.size, args.max, node_budget=budget)
     env_fields = {
         "count": len(sets),
         "sets": [list(s.elements) for s in sets],
@@ -212,19 +238,13 @@ def _cmd_pack_build(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_pack_validate(args) -> tuple[int, dict, list[str]]:
-    try:
-        instance = tripack.parse_packing(_read(args.input))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad packing file: {exc}") from exc
+    instance = _parse_file(tripack.parse_packing, args.input, "packing")
     report = tripack.validate_packing(instance)
     return (0 if report.valid else 1), {"report": _pack_report_fields(report)}, _pack_human(report)
 
 
 def _cmd_pack_render(args) -> tuple[int, dict, list[str]]:
-    try:
-        instance = tripack.parse_packing(_read(args.input))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad packing file: {exc}") from exc
+    instance = _parse_file(tripack.parse_packing, args.input, "packing")
     scene = Scene()
     side = float(instance.side_len)
     scene.polygon([(0.0, 0.0), (side, 0.0), (side / 2, side * 3**0.5 / 2)],
@@ -232,8 +252,8 @@ def _cmd_pack_render(args) -> tuple[int, dict, list[str]]:
     for anchor in instance.anchors:
         tri = [(float(x), float(y)) for x, y in tripack.triangle_vertices(anchor)]
         scene.polygon(tri, stroke="#884400", fill="#ddaa77", width=1.0, opacity=0.6)
-        hexagon = tripack.HexGauge(center=anchor, radius=Fraction(1, 2))
-        hex_pts = [(float(x), float(y)) for x, y in hexagon.vertices()]
+        hexagon = tripack.hexagon_vertices(anchor, Fraction(1, 2))
+        hex_pts = [(float(x), float(y)) for x, y in hexagon]
         scene.polygon(hex_pts, stroke="#118811", width=1.0)
     _write(args.svg, scene.to_svg())
     human = [f"wrote {args.svg} ({instance.count} triangle(s) with green hexagons)"]
@@ -257,7 +277,7 @@ def _cyclic_report_fields(v: cyclic.CycleVector, tol: float) -> dict:
 def _cmd_cyclic_solve(args) -> tuple[int, dict, list[str]]:
     init = None
     if args.init:
-        init = cyclic.parse_entries(_read(args.init))
+        init = _parse_file(cyclic.parse_entries, args.init, "entries")
     elif args.seed is not None:
         init = args.seed
     solution, record = cyclic.solve(args.n, init, tol=args.tol, max_iter=args.max_iter)
@@ -282,10 +302,7 @@ def _cmd_cyclic_solve(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_cyclic_verify(args) -> tuple[int, dict, list[str]]:
-    try:
-        v = cyclic.parse_entries(_read(args.input))
-    except ValueError as exc:
-        raise UsageError(f"bad entries file: {exc}") from exc
+    v = _parse_file(cyclic.parse_entries, args.input, "entries")
     res = cyclic.residuals(v)
     env_fields = {"n": v.n, "residual_max_abs": res.max_abs}
     ok = res.max_abs <= args.tol
@@ -307,10 +324,7 @@ def _cmd_cyclic_verify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_funceq_check(args) -> tuple[int, dict, list[str]]:
-    try:
-        table = funceq.parse_table(_read(args.input))
-    except ValueError as exc:
-        raise UsageError(f"bad table file: {exc}") from exc
+    table = _parse_file(funceq.parse_table, args.input, "table")
     violations = funceq.check_table(table)
     env_fields = {
         "limit": table.limit,
@@ -484,14 +498,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None, help="random log-uniform start")
     p.add_argument("--init", default=None, help="entries file to start from")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite, default=1e-10)
     p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
     p.add_argument("--out", default=None, help="write the solution entries here")
     p.set_defaults(handler=_cmd_cyclic_solve)
     common(p)
     p = cyc_actions.add_parser("verify", help="residuals and identities of an entries file")
     p.add_argument("--input", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite, default=1e-8)
     p.set_defaults(handler=_cmd_cyclic_verify)
     common(p)
 
@@ -512,9 +526,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = rect_actions.add_parser("batch", help="certify random configurations")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perturb", type=float, default=1.0,
+    p.add_argument("--perturb", type=_finite, default=1.0,
                    help="scale the solved third height (1.0 = constraint holds)")
-    p.add_argument("--rel-tol", type=float, default=rectconcur.DEFAULT_REL_TOL, dest="rel_tol")
+    p.add_argument("--rel-tol", type=_finite, default=rectconcur.DEFAULT_REL_TOL, dest="rel_tol")
     p.set_defaults(handler=_cmd_rect_batch)
     common(p)
     p = rect_actions.add_parser("render", help="SVG of one certified configuration")
@@ -532,9 +546,6 @@ def run(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code, fields, human = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

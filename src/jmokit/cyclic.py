@@ -31,6 +31,7 @@ measure how tightly a numerical solution satisfies these facts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -39,7 +40,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class CycleVector:
-    """Strictly positive entries a_1..a_2n, cyclic indexing, n >= 4."""
+    """Strictly positive finite entries a_1..a_2n, cyclic indexing, n >= 4."""
 
     n: int
     entries: tuple[float, ...]
@@ -51,6 +52,8 @@ class CycleVector:
             raise ValueError(f"expected {2 * self.n} entries, got {len(self.entries)}")
         if any(not e > 0 for e in self.entries):
             raise ValueError("entries must be strictly positive")
+        if not all(math.isfinite(e) for e in self.entries):
+            raise ValueError("entries must be finite")
 
     def odd(self) -> np.ndarray:
         """a_1, a_3, ..., a_{2n-1}."""

@@ -14,11 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-# Arbitrary-precision rational scalar: always reduced, denominator > 0,
-# exact +,-,*,/ and total ordering.  fractions.Fraction already guarantees
-# every invariant we need, so it is used directly rather than wrapped.
-ExactScalar = Fraction
-
 RationalLike = Union[int, Fraction]
 
 

@@ -52,7 +52,6 @@ class PinState:
 
 @dataclass(frozen=True)
 class SolveCertificate:
-    doubled_area_target: int
     lower_bound: int
     witness: PinState
     status: str  # always CERTIFIED_OPTIMAL; kept with gap for the envelope
@@ -160,4 +159,4 @@ def min_moves(doubled_area: int, budget_cap: Optional[int] = None) -> SolveCerti
             f"{doubled_area} within cost {budget_cap}"
         )
     witness = family_search(doubled_area, bound)
-    return SolveCertificate(doubled_area, bound, witness, CERTIFIED_OPTIMAL, 0)
+    return SolveCertificate(bound, witness, CERTIFIED_OPTIMAL, 0)

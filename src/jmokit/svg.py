@@ -2,12 +2,16 @@
 
 Shapes are added in mathematical coordinates (y up); rendering flips the
 axis and pads the computed bounding box.  Output is deterministic: fixed
-float formatting, elements in insertion order.
+float formatting, elements in insertion order.  Each shape is kept as a
+template with one {w} slot and a width in output pixels; to_svg fills every
+slot in one pass, once the bounding box fixes the size of a pixel.
 """
 
 from __future__ import annotations
 
 Pt = tuple[float, float]
+
+PIXEL_WIDTH = 720
 
 
 def _fmt(v: float) -> str:
@@ -16,7 +20,7 @@ def _fmt(v: float) -> str:
 
 class Scene:
     def __init__(self):
-        self._shapes: list[str] = []
+        self._shapes: list[tuple[str, float]] = []
         self._min_x = self._min_y = float("inf")
         self._max_x = self._max_y = float("-inf")
 
@@ -31,58 +35,48 @@ class Scene:
         for x, y in points:
             self._cover(x, y)
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-        self._shapes.append(
+        self._shapes.append((
             f'<polygon points="{coords}" fill="{fill}" stroke="{stroke}" '
-            f'stroke-width="{{w{width}}}" fill-opacity="{_fmt(opacity)}"/>'
-        )
+            f'stroke-width="{{w}}" fill-opacity="{_fmt(opacity)}"/>', width
+        ))
 
     def circle(self, center: Pt, radius: float, stroke: str = "#000000",
                fill: str = "none", width: float = 1.0) -> None:
         self._cover(center[0], center[1], radius)
-        self._shapes.append(
+        self._shapes.append((
             f'<circle cx="{_fmt(center[0])}" cy="{_fmt(center[1])}" '
             f'r="{_fmt(radius)}" fill="{fill}" stroke="{stroke}" '
-            f'stroke-width="{{w{width}}}"/>'
-        )
+            f'stroke-width="{{w}}"/>', width
+        ))
 
     def line(self, a: Pt, b: Pt, stroke: str = "#000000", width: float = 1.0) -> None:
         self._cover(*a)
         self._cover(*b)
-        self._shapes.append(
+        self._shapes.append((
             f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" '
-            f'y2="{_fmt(b[1])}" stroke="{stroke}" stroke-width="{{w{width}}}"/>'
-        )
+            f'y2="{_fmt(b[1])}" stroke="{stroke}" stroke-width="{{w}}"/>', width
+        ))
 
     def dot(self, center: Pt, fill: str = "#000000", size: float = 3.0) -> None:
         self._cover(center[0], center[1])
-        self._shapes.append(
+        self._shapes.append((
             f'<circle cx="{_fmt(center[0])}" cy="{_fmt(center[1])}" '
-            f'r="{{w{size}}}" fill="{fill}" stroke="none"/>'
-        )
+            f'r="{{w}}" fill="{fill}" stroke="none"/>', size
+        ))
 
-    def to_svg(self, pixel_width: int = 720) -> str:
+    def to_svg(self) -> str:
         if not self._shapes:
             self._cover(0.0, 0.0)
         pad = 0.05 * max(self._max_x - self._min_x, self._max_y - self._min_y, 1e-9)
         x0, y0 = self._min_x - pad, self._min_y - pad
         w = self._max_x - self._min_x + 2 * pad
         h = self._max_y - self._min_y + 2 * pad
-        # stroke widths were recorded in relative units; resolve the {wN}
-        # placeholders to N * unit, where unit is one output pixel
-        unit = max(w, h) / pixel_width
-        resolved = []
-        for shape in self._shapes:
-            while "{w" in shape:
-                start = shape.index("{w")
-                end = shape.index("}", start)
-                value = float(shape[start + 2:end])
-                shape = shape[:start] + _fmt(value * unit) + shape[end + 1:]
-            resolved.append(shape)
-        body = "\n".join(resolved)
-        height_px = int(round(pixel_width * h / w))
+        unit = max(w, h) / PIXEL_WIDTH  # one output pixel in scene units
+        body = "\n".join(t.format(w=_fmt(width * unit)) for t, width in self._shapes)
+        height_px = int(round(PIXEL_WIDTH * h / w))
         return (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{pixel_width}" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{PIXEL_WIDTH}" '
             f'height="{height_px}" viewBox="{_fmt(x0)} {_fmt(-y0 - h)} {_fmt(w)} {_fmt(h)}">\n'
             f'<g transform="scale(1,-1)">\n{body}\n</g>\n</svg>\n'
         )

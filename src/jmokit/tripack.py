@@ -23,9 +23,10 @@ including boundary contact, is decided exactly.  validate_packing and
 tessellate decide theirs as integer sign tests: each anchor is written as
 integer numerators over its own denominator, and the sign of u + v*sqrt(3)
 follows from the signs of u and v and, when they differ, from comparing u^2
-with 3v^2.  The Sqrt3 predicates (point_inside_delta, triangle_inside_delta,
+with 3v^2.  validate_packing has one overlap search, over a grid of unit
+cells.  The Sqrt3 predicates (point_inside_delta, triangle_inside_delta,
 triangles_overlap_exact, hex_gauge, hex_gauge_overlap) are the reference
-route that the tests compare against.
+route: the tests compare the integer verdicts with them over all pairs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from .kernel import Sqrt3
 
@@ -140,29 +141,22 @@ def hex_gauge_overlap(a1, a2) -> bool:
 # -- hexagons ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HexGauge:
+def hexagon_vertices(center: Point, radius: Fraction) -> tuple[Point, ...]:
     """Regular hexagon with vertices at angles k*60 degrees from the center.
 
     radius is the circumradius, equal to the side length.
     """
-
-    center: Point
-    radius: Fraction
-
-    def vertices(self) -> tuple[Point, ...]:
-        cx, cy = self.center
-        r = self.radius
-        rh = r * HALF
-        rh3 = Sqrt3(0, rh)  # r*sqrt(3)/2
-        return (
-            (cx + r, cy),
-            (cx + rh, cy + rh3),
-            (cx - rh, cy + rh3),
-            (cx - r, cy),
-            (cx - rh, cy - rh3),
-            (cx + rh, cy - rh3),
-        )
+    cx, cy = center
+    rh = radius * HALF
+    rh3 = Sqrt3(0, rh)  # radius*sqrt(3)/2
+    return (
+        (cx + radius, cy),
+        (cx + rh, cy + rh3),
+        (cx - rh, cy + rh3),
+        (cx - radius, cy),
+        (cx - rh, cy - rh3),
+        (cx + rh, cy - rh3),
+    )
 
 
 def hexagon_inside_delta(instance: "PackingInstance", anchor) -> bool:
@@ -174,8 +168,7 @@ def hexagon_inside_delta(instance: "PackingInstance", anchor) -> bool:
     a = as_point(anchor)
     if not triangle_inside_delta(a, instance.side_len):
         raise ValueError("anchor's triangle is not inside Delta")
-    hexagon = HexGauge(center=a, radius=Fraction(1, 2))
-    return all(point_inside_delta(v, instance.side_len) for v in hexagon.vertices())
+    return all(point_inside_delta(v, instance.side_len) for v in hexagon_vertices(a, HALF))
 
 
 # -- packings ------------------------------------------------------------
@@ -293,39 +286,35 @@ def _gauge_below_one(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     return True
 
 
-def _overlapping_pairs(forms: list[tuple[int, ...]], use_grid: bool) -> Iterable[tuple[int, int]]:
-    """Overlapping index pairs (i, j), i < j, from the anchors' integer forms.
+def _overlapping_pairs(forms: list[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+    """Overlapping index pairs (i, j), i < j, in all-pairs order: j, then i.
 
-    With the grid, only anchors in adjacent unit cells are compared; any
-    overlapping pair has |dx| < 1 and |dy| < sqrt(3)/2, so adjacency (via
-    exact floors) never misses one.  Verdicts are identical either way.
+    Anchors are binned into unit cells by exact floors, and each is compared
+    only with earlier anchors in the nine cells around its own.  Any
+    overlapping pair has |dx| < 1 and |dy| < sqrt(3)/2, so none is missed.
     """
     gauges = [_gauge_form(*f) for f in forms]
-    if use_grid:
-        cells: dict[tuple[int, int], list[int]] = {}
-        for j, (d, x, x3, y, y3) in enumerate(forms):
-            key = (_floor(x, x3, d), _floor(y, y3, d))
-            near = []
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    near.extend(cells.get((key[0] + dx, key[1] + dy), ()))
-            for i in sorted(near):
-                if _gauge_below_one(gauges[i], gauges[j]):
-                    yield (i, j)
-            cells.setdefault(key, []).append(j)
-    else:
-        for j in range(len(gauges)):
-            for i in range(j):
-                if _gauge_below_one(gauges[i], gauges[j]):
-                    yield (i, j)
+    cells: dict[tuple[int, int], list[int]] = {}
+    for j, (d, x, x3, y, y3) in enumerate(forms):
+        key = (_floor(x, x3, d), _floor(y, y3, d))
+        near = []
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                near.extend(cells.get((key[0] + dx, key[1] + dy), ()))
+        for i in sorted(near):
+            if _gauge_below_one(gauges[i], gauges[j]):
+                yield (i, j)
+        cells.setdefault(key, []).append(j)
 
 
-def validate_packing(instance: PackingInstance, use_grid: bool = True) -> PackingReport:
+def validate_packing(instance: PackingInstance) -> PackingReport:
     """Full packing check: containment, pairwise disjointness, density bound.
 
-    The bound n <= (2/3) L^2 is enforced for L >= 2 and only reported as a
-    warning below that (no unit triangle fits in Delta at all for L < 2, so
-    a packing that passes containment there is necessarily empty).
+    first_overlap is the first overlapping pair in all-pairs order (j, then
+    i < j).  The bound n <= (2/3) L^2 is enforced for L >= 2 and only
+    reported as a warning below that (no unit triangle fits in Delta at all
+    for L < 2, so a packing that passes containment there is necessarily
+    empty).
     """
     n = instance.count
     side = instance.side_len
@@ -334,7 +323,7 @@ def validate_packing(instance: PackingInstance, use_grid: bool = True) -> Packin
     first_outside = next(
         (idx for idx, f in enumerate(forms) if not _inside(*f, side, Fraction(0))), None
     )
-    first_overlap = next(iter(_overlapping_pairs(forms, use_grid)), None)
+    first_overlap = next(_overlapping_pairs(forms), None)
 
     bound_ok = Fraction(n) <= Fraction(2, 3) * side * side
     return PackingReport(
@@ -346,7 +335,7 @@ def validate_packing(instance: PackingInstance, use_grid: bool = True) -> Packin
         first_overlap=first_overlap,
         bound_ok=bound_ok,
         bound_is_warning=side < 2,
-        density=n / float(side) ** 2 if side else 0.0,
+        density=n / float(side) ** 2,
     )
 
 

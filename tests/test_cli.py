@@ -72,16 +72,56 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
-def test_missing_file_exits_two(capsys):
-    code, _ = run_cli(capsys, "pack", "validate", "--input", "/nonexistent/file.txt")
-    assert code == 2
+ERROR_FILES = {
+    "inf.txt": "inf\n" * 8,
+    "bad_entries.txt": "1\n2\nx\n2\n1\n2\n1\n2\n",
+    "bad_packing.txt": "not a rational\n",
+}
 
 
-def test_malformed_packing_exits_two(capsys, tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("not a rational\n")
-    code, _ = run_cli(capsys, "pack", "validate", "--input", str(bad))
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        pytest.param(("pack", "validate", "--input", "/nonexistent/file.txt"), {},
+                     "cannot read /nonexistent/file.txt", id="missing-file"),
+        pytest.param(("pack", "validate", "--input", "{tmp}/bad_packing.txt"), {},
+                     "bad packing file:", id="malformed-packing"),
+        pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/bad_entries.txt"), {},
+                     "bad entries file: could not convert", id="malformed-init"),
+        pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/inf.txt"), {},
+                     "bad entries file: entries must be finite", id="inf-init"),
+        pytest.param(("cyclic", "verify", "--input", "{tmp}/inf.txt"), {},
+                     "bad entries file: entries must be finite", id="inf-entries"),
+        pytest.param(("gcdset", "search", "--size", "2", "--max", "100", "--budget", "0"), {},
+                     "search node budget exceeded (0 nodes)", id="budget-zero"),
+        pytest.param(("gcdset", "search", "--size", "2", "--max", "100"),
+                     {"JMOKIT_NODE_BUDGET": "many"}, "JMOKIT_NODE_BUDGET", id="budget-env"),
+        pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "inf"), {},
+                     "argument --tol", id="tol-inf"),
+        pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "nan"), {},
+                     "argument --tol", id="tol-nan"),
+        pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "inf"), {},
+                     "argument --rel-tol", id="rel-tol-inf"),
+        pytest.param(("rect", "batch", "--count", "3", "--perturb", "nan"), {},
+                     "argument --perturb", id="perturb-nan"),
+        pytest.param(("rect", "batch", "--count", "3", "--perturb", "inf"), {},
+                     "argument --perturb", id="perturb-inf"),
+    ],
+)
+def test_usage_errors_exit_two(capsys, monkeypatch, tmp_path, argv, env, message):
+    # exit 2, nothing on stdout, and one message naming the input
+    for name, text in ERROR_FILES.items():
+        (tmp_path / name).write_text(text)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    try:
+        code = cli.run([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    except SystemExit as exc:  # argparse rejects an argument by exiting
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert message in err
 
 
 def test_pack_build_validate_roundtrip(capsys, tmp_path):

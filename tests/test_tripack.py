@@ -10,12 +10,12 @@ from jmokit.tripack import (
     _floor,
     _inside,
     _integer_form,
-    HexGauge,
     PackingInstance,
     dump_packing,
     hex_gauge,
     hex_gauge_overlap,
     hexagon_inside_delta,
+    hexagon_vertices,
     parse_packing,
     tessellate,
     triangle_inside_delta,
@@ -107,7 +107,7 @@ def test_unit_hexagon_is_triangle_difference_body():
     diffs = {
         (p[0] - q[0], p[1] - q[1]) for p in tri for q in tri if p != q
     }
-    hexagon = HexGauge(center=(Sqrt3(0), Sqrt3(0)), radius=F(1)).vertices()
+    hexagon = hexagon_vertices((Sqrt3(0), Sqrt3(0)), F(1))
     assert set(hexagon) == diffs
     # ...and differences of interior points have gauge below 1
     rng = random.Random(7)
@@ -206,16 +206,14 @@ def test_validate_reports_outside_anchor():
 
 def test_grid_and_bruteforce_validation_agree():
     instance = tessellate(F(8))
-    with_grid = validate_packing(instance, use_grid=True)
-    brute = validate_packing(instance, use_grid=False)
-    assert with_grid == brute
-    assert with_grid.valid
+    assert validate_packing(instance).valid
+    assert _verdicts(instance) == _reference_verdicts(instance) == (None, None)
     # and they agree on an invalid instance too
     bad = PackingInstance(
         side_len=F(8),
         anchors=instance.anchors + [instance.anchors[0]],
     )
-    assert validate_packing(bad, use_grid=True) == validate_packing(bad, use_grid=False)
+    assert _verdicts(bad) == _reference_verdicts(bad) == (None, (0, len(instance.anchors)))
 
 
 # -- integer verdicts against the Sqrt3 predicates ---------------------------
@@ -235,8 +233,8 @@ def _reference_verdicts(instance):
     return first_outside, first_overlap
 
 
-def _verdicts(instance, use_grid=True):
-    report = validate_packing(instance, use_grid=use_grid)
+def _verdicts(instance):
+    report = validate_packing(instance)
     return report.first_outside, report.first_overlap
 
 
@@ -264,7 +262,6 @@ def test_integer_route_matches_sqrt3_on_random_packings():
         instance = PackingInstance(side_len=side, anchors=anchors)
         expected = _reference_verdicts(instance)
         assert _verdicts(instance) == expected
-        assert _verdicts(instance, use_grid=False) == expected
         seen["outside" if expected[0] is not None else "inside"] += 1
         seen["overlap" if expected[1] is not None else "disjoint"] += 1
     assert min(seen.values()) >= 20, seen
