@@ -26,7 +26,7 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 
-from . import __version__, cyclic, funceq, gcdperfect, pinopt, rectconcur, scan, tripack
+from . import __version__, cyclic, funceq, gcdperfect, pinopt, rectconcur, tripack
 from .svg import Scene
 
 
@@ -105,16 +105,14 @@ def _int_list(raw: str) -> list[int]:
 
 
 def _cmd_pins_solve(args) -> tuple[int, dict, list[str]]:
-    cert = pinopt.min_moves(args.doubled_area, budget_cap=args.cap)
+    cert = pinopt.min_moves(args.doubled_area)
     witness = [list(cert.witness.a_pin), list(cert.witness.b_pin), list(cert.witness.c_pin)]
     env_fields = {
         "lower_bound": cert.lower_bound,
         "cost": cert.witness.move_cost,
         "status": cert.status,
-        "gap": cert.gap,
         "witness": witness,
         "witness_doubled_area": cert.witness.doubled_area,
-        "scan_backend": scan.backend_name(),
     }
     human = [
         f"doubled area {args.doubled_area}: cost {cert.witness.move_cost} "
@@ -126,11 +124,7 @@ def _cmd_pins_solve(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_pins_oracle(args) -> tuple[int, dict, list[str]]:
     cost = pinopt.oracle_min_moves(args.doubled_area, args.radius)
-    env_fields = {
-        "cost": cost,
-        "radius": args.radius,
-        "scan_backend": scan.backend_name(),
-    }
+    env_fields = {"cost": cost, "radius": args.radius}
     return 0, env_fields, [f"exhaustive minimum cost: {cost}"]
 
 
@@ -171,7 +165,7 @@ def _cmd_gcdset_construct(args) -> tuple[int, dict, list[str]]:
 def _cmd_gcdset_search(args) -> tuple[int, dict, list[str]]:
     budget = args.budget
     if budget is None:
-        raw = os.environ.get("JMOKIT_NODE_BUDGET", str(10**6))
+        raw = os.environ.get("JMOKIT_NODE_BUDGET", str(gcdperfect.DEFAULT_NODE_BUDGET))
         try:
             budget = int(raw)
         except ValueError:
@@ -347,17 +341,21 @@ def _cmd_funceq_trace(args) -> tuple[int, dict, list[str]]:
     rules = {}
     for step in trace:
         rules[step.rule] = rules.get(step.rule, 0) + 1
-    env_fields = {"limit": args.limit, "steps": len(trace), "rule_counts": rules}
-    human = [f"forced derivation of f(1..{args.limit}) = 1: {len(trace)} step(s) {rules}"]
-    if not args.no_replay:
-        result = funceq.replay_trace(trace)
-        env_fields["replay_ok"] = result.ok
-        env_fields["replay_failure"] = (
+    result = funceq.replay_trace(trace)
+    env_fields = {
+        "limit": args.limit,
+        "steps": len(trace),
+        "rule_counts": rules,
+        "replay_ok": result.ok,
+        "replay_failure": (
             None if result.ok else {"index": result.failed_index, "reason": result.reason}
-        )
-        human.append(f"replay: {'pass' if result.ok else f'FAIL at step {result.failed_index}: {result.reason}'}")
-        return (0 if result.ok else 1), env_fields, human
-    return 0, env_fields, human
+        ),
+    }
+    human = [
+        f"forced derivation of f(1..{args.limit}) = 1: {len(trace)} step(s) {rules}",
+        f"replay: {'pass' if result.ok else f'FAIL at step {result.failed_index}: {result.reason}'}",
+    ]
+    return (0 if result.ok else 1), env_fields, human
 
 
 # -- rect -----------------------------------------------------------------
@@ -446,7 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pins_actions = pins.add_subparsers(dest="action", required=True)
     p = pins_actions.add_parser("solve", help="witness plus optimality certificate")
     p.add_argument("--doubled-area", type=int, required=True, dest="doubled_area")
-    p.add_argument("--cap", type=int, default=None, help="exit 2 if the minimum cost exceeds this cap")
     p.set_defaults(handler=_cmd_pins_solve)
     common(p)
     p = pins_actions.add_parser("oracle", help="exhaustive scan near the origin")
@@ -517,7 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p = feq_actions.add_parser("trace", help="forced derivation f(1..N) = 1, with replay")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--no-replay", action="store_true", dest="no_replay")
     p.set_defaults(handler=_cmd_funceq_trace)
     common(p)
 

@@ -171,6 +171,8 @@ def solve(
         raise ValueError(f"n must be >= 4, got {n}")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if isinstance(init, CycleVector):
         if init.n != n:
             raise ValueError(f"init has n = {init.n}, expected {n}")

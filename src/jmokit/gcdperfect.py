@@ -22,6 +22,9 @@ from typing import Iterable, Optional
 
 from .kernel import Factorization, factorize, is_prime
 
+# search_size's node budget when the caller (or JMOKIT_NODE_BUDGET) sets none.
+DEFAULT_NODE_BUDGET = 10**6
+
 
 class BudgetExceeded(ValueError):
     """Search stopped after spending its node budget; a ValueError, like any bad argument."""
@@ -156,7 +159,7 @@ def structure_report(S: GcdSet) -> StructureReport:
 
 
 def search_size(
-    target_size: int, max_element: int, node_budget: int = 10**6
+    target_size: int, max_element: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[GcdSet]:
     """Every gcd-perfect subset of [1..max_element] with the target size.
 

@@ -16,8 +16,9 @@ B = (x, 0), C = (0, y) with doubled area x*y + q*x + p*y and cost
 p + q + x + y.  With n = ceil(sqrt(4D)), X = floor(n/2), Y = ceil(n/2) and
 s = X*Y - D, the lower bound gives 0 <= s < Y, so (p, q, x, y) =
 (1, s, X - 1, Y - s), or (0, 0, X, Y) when s = 0, is a family member of cost
-n and doubled area D.  min_moves therefore runs one family search at the
-lower bound and reports its first member, which is certified optimal.
+n and doubled area D.  min_moves therefore reports the first family member
+at the lower bound, which is certified optimal; the search for it needs only
+the rows p = 0 and p = 1 of the family.
 Axis reflections of the family change neither value, so enumerating the
 base family covers them.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
 
 from . import scan
 from .kernel import LatticePoint, isqrt_ceil_of_sqrt, shoelace_doubled
@@ -54,8 +54,7 @@ class PinState:
 class SolveCertificate:
     lower_bound: int
     witness: PinState
-    status: str  # always CERTIFIED_OPTIMAL; kept with gap for the envelope
-    gap: int  # witness cost minus the lower bound, always 0
+    status: str  # always CERTIFIED_OPTIMAL; the envelope and bench checks read it
 
 
 def lower_bound(doubled_area: int) -> int:
@@ -69,57 +68,34 @@ def family_state(p: int, q: int, x: int, y: int) -> PinState:
     return PinState(LatticePoint(-p, -q), LatticePoint(x, 0), LatticePoint(0, y))
 
 
-def family_search(doubled_area: int, budget: int) -> Optional[PinState]:
-    """First family member with the exact doubled area at the exact budget.
+def family_search(doubled_area: int) -> PinState:
+    """First family member of cost n = lower_bound(D) and doubled area D.
 
-    Enumerates p ascending, then q, then x (y = budget - p - q - x).  For
-    fixed (p, q) the x satisfying x*y + q*x + p*y = D are the integer roots
-    of x^2 - (budget - 2p)x + (D - p*s) = 0 with s = budget - p - q, whose
-    discriminant is c - 4pq with c = budget^2 - 4D.  Row p = 0 has the
-    discriminant c for every q, and when c is a square q = 0 already holds a
-    member (x = (budget - sqrt(c))/2), so only q = 0 is checked there.  Row
-    p > 0 walks the roots r of its square discriminants downward from
-    isqrt(c), which visits q = (c - r^2)/(4p) in ascending order, so each
-    row costs at most isqrt(c) + 1 steps.
+    Members are ordered by p, then q, then x (y = n - p - q - x).  For fixed
+    (p, q) the x with x*y + q*x + p*y = D are the integer roots of
+    x^2 - (n - 2p)x + (D - p*(n - p - q)) = 0, whose discriminant is
+    c - 4pq with c = n^2 - 4D.  Row p = 0 has the discriminant c for every
+    q, and it holds a member exactly when c is a square r^2: then q = 0
+    already gives (0, 0, (n - r)/2, (n + r)/2).  Otherwise row p = 1 walks
+    the roots r of its square discriminants downward from isqrt(c), which
+    visits q = (c - r^2)/4 in ascending order, and tries the roots
+    x = (n - 2 - r)/2, then (n - 2 + r)/2.  Rows p >= 2 are never reached:
+    the closed form (1, s, X - 1, Y - s) of the module docstring is a row-1
+    member, so the walk returns by its q = s at the latest.
     """
-    if doubled_area < 1:
-        raise ValueError("doubled_area must be >= 1")
-    c = budget * budget - 4 * doubled_area
-    if budget < 0 or c < 0:
-        return None
+    n = lower_bound(doubled_area)
+    c = n * n - 4 * doubled_area
     top = math.isqrt(c)
-    for p in range(budget + 1):
-        b = budget - 2 * p
-        for q, r in _square_discriminants(c, top, p, budget - p):
-            s = budget - p - q
-            for t in (b - r, b + r):
-                if t < 0 or t % 2 or t // 2 > s:
-                    continue
-                x = t // 2
-                y = s - x
-                if x * y + q * x + p * y == doubled_area:
-                    return family_state(p, q, x, y)
-                if r == 0:
-                    break
-    return None
-
-
-def _square_discriminants(c: int, top: int, p: int, q_max: int) -> Iterator[tuple[int, int]]:
-    """(q, r) in ascending q with r*r = c - 4pq, r >= 0 and 0 <= q <= q_max.
-
-    For p = 0 only q = 0 is yielded; family_search's docstring says why that
-    loses no member.
-    """
-    if p == 0:
-        if top * top == c:
-            yield 0, top
-        return
+    if top * top == c:
+        return family_state(0, 0, (n - top) // 2, (n + top) // 2)
     for r in range(top, -1, -1):
-        q, rem = divmod(c - r * r, 4 * p)
-        if q > q_max:
-            return
-        if rem == 0:
-            yield q, r
+        q, rem = divmod(c - r * r, 4)
+        if rem:
+            continue
+        rest = n - 1 - q  # x + y
+        for t in (n - 2 - r, n - 2 + r):
+            if t >= 0 and t % 2 == 0 and t // 2 <= rest:
+                return family_state(1, q, t // 2, rest - t // 2)
 
 
 def oracle_min_moves(doubled_area: int, radius: int) -> int:
@@ -146,17 +122,7 @@ def oracle_min_moves(doubled_area: int, radius: int) -> int:
     return hit[0]
 
 
-def min_moves(doubled_area: int, budget_cap: Optional[int] = None) -> SolveCertificate:
-    """Certified minimum move count with the first family witness at the bound.
-
-    The closed form in the module docstring guarantees a family member at
-    the lower bound, so the only way to fail is a budget_cap below it.
-    """
+def min_moves(doubled_area: int) -> SolveCertificate:
+    """Minimum move count, certified by the first family witness at the bound."""
     bound = lower_bound(doubled_area)
-    if budget_cap is not None and budget_cap < bound:
-        raise ValueError(
-            f"budget cap exceeded: no family witness for doubled area "
-            f"{doubled_area} within cost {budget_cap}"
-        )
-    witness = family_search(doubled_area, bound)
-    return SolveCertificate(bound, witness, CERTIFIED_OPTIMAL, 0)
+    return SolveCertificate(bound, family_search(doubled_area), CERTIFIED_OPTIMAL)

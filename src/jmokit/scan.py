@@ -22,7 +22,8 @@ _BLOCK = 1 << 15
 
 
 def backend_name() -> str:
-    # Constant: kept because JSON envelopes and bench records carry it.
+    # Constant: bench/worker.py writes it into every bench record, so it
+    # goes with the next change to the benchmark.
     return "python"
 
 

@@ -399,13 +399,15 @@ def dump_packing(instance: PackingInstance) -> str:
 
 
 def parse_packing(text: str) -> PackingInstance:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    """Parse a side line, then 'x y [y3]' anchor lines (blank lines and #-comments ignored)."""
+    rows = [(lineno, raw.split("#", 1)[0].strip())
+            for lineno, raw in enumerate(text.splitlines(), start=1)]
+    rows = [(lineno, line) for lineno, line in rows if line]
+    if not rows:
         raise ValueError("empty packing file")
-    side = Fraction(lines[0])
+    side = Fraction(rows[0][1])
     anchors: list[Point] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows[1:]:
         parts = line.split()
         if len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'x y [y3]', got {line!r}")

@@ -22,6 +22,9 @@ def test_pins_solve_contest(capsys):
     assert env["cost"] == 128
     assert env["status"] == "certified_optimal"
     assert env["lower_bound"] == 128
+    assert env["inputs"] == {"doubled_area": 4042}
+    assert sorted(env) == ["cost", "inputs", "lower_bound", "status", "subcommand", "timings",
+                           "tool", "version", "witness", "witness_doubled_area"]
 
 
 def test_pins_oracle(capsys):
@@ -96,6 +99,14 @@ ERROR_FILES = {
                      "search node budget exceeded (0 nodes)", id="budget-zero"),
         pytest.param(("gcdset", "search", "--size", "2", "--max", "100"),
                      {"JMOKIT_NODE_BUDGET": "many"}, "JMOKIT_NODE_BUDGET", id="budget-env"),
+        pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "0"), {},
+                     "max_iter must be >= 1, got 0", id="max-iter-zero"),
+        pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "-5"), {},
+                     "max_iter must be >= 1, got -5", id="max-iter-negative"),
+        pytest.param(("pins", "solve", "--doubled-area", "5", "--cap", "5"), {},
+                     "unrecognized arguments: --cap", id="no-cap"),
+        pytest.param(("funceq", "trace", "--limit", "5", "--no-replay"), {},
+                     "unrecognized arguments: --no-replay", id="no-skip-replay"),
         pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "inf"), {},
                      "argument --tol", id="tol-inf"),
         pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "nan"), {},

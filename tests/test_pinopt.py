@@ -30,35 +30,30 @@ def test_lower_bound_rejects_zero():
 
 
 def test_family_search_trivial():
-    state = family_search(1, 2)
+    state = family_search(1)
     assert state == family_state(0, 0, 1, 1)
     assert state.doubled_area == 1
     assert state.move_cost == 2
 
 
 def test_family_search_small():
-    # first member at budget 5 for doubled area 5: 1*2 + 1*1 + 1*2 = 5
-    state = family_search(5, 5)
+    # first member at the bound 5 for doubled area 5: 1*2 + 1*1 + 1*2 = 5
+    state = family_search(5)
     assert state == family_state(1, 1, 1, 2)
 
 
 def test_family_search_contest_instance():
-    state = family_search(4042, 128)
-    assert state is not None
+    state = family_search(4042)
     assert state.move_cost == 128
     assert state.doubled_area == 4042
     # deterministic first member in (p, q, x) order
     assert state == family_state(1, 5, 56, 66)
 
 
-def test_family_search_below_feasible_budget():
-    assert family_search(5, 4) is None
-
-
 def test_family_reflections_preserve_cost_and_area():
     # reflecting any witness across either axis changes nothing measurable,
     # which is why the search enumerates only the base family
-    state = family_search(4042, 128)
+    state = family_search(4042)
     for sx, sy in ((1, -1), (-1, 1), (-1, -1)):
         reflected = PinState(
             *(LatticePoint(sx * p.x, sy * p.y)
@@ -84,7 +79,6 @@ def test_min_moves_contest_instance():
     assert cert.witness.move_cost == 128
     assert cert.status == CERTIFIED_OPTIMAL
     assert cert.lower_bound == 128
-    assert cert.gap == 0
     assert cert.witness.doubled_area == 4042
 
 
@@ -98,12 +92,6 @@ def test_min_moves_three():
     cert = min_moves(3)
     assert cert.witness.move_cost == 4
     assert cert.status == CERTIFIED_OPTIMAL
-
-
-def test_min_moves_budget_cap():
-    with pytest.raises(ValueError, match="budget cap exceeded"):
-        min_moves(5, budget_cap=4)
-    assert min_moves(5, budget_cap=5) == min_moves(5)
 
 
 def test_min_moves_witness_area_is_exact():
@@ -212,7 +200,10 @@ def test_closed_form_meets_lower_bound():
 
 def test_family_search_meets_lower_bound():
     for doubled in range(1, 2_001):
-        assert family_search(doubled, lower_bound(doubled)) is not None, doubled
+        state = family_search(doubled)
+        assert state.move_cost == lower_bound(doubled), doubled
+        assert state.doubled_area == doubled, doubled
+        assert state.a_pin.x >= -1, doubled  # rows p = 0 and p = 1 only
 
 
 def _q_walk_family_search(doubled_area, budget):
@@ -240,16 +231,21 @@ def _q_walk_family_search(doubled_area, budget):
 
 
 def test_family_search_matches_q_walk():
-    for doubled in range(1, 400):
-        for budget in range(-1, 45):
-            assert family_search(doubled, budget) == _q_walk_family_search(doubled, budget), (
-                doubled, budget)
+    for doubled in range(1, 5_000):
+        assert family_search(doubled) == _q_walk_family_search(doubled, lower_bound(doubled)), (
+            doubled)
 
 
 def test_min_moves_certifies_eighteen_digit_areas():
-    for doubled in (10**17 + 3, 123_456_789_012_345_678, 999_999_999_999_999_989):
+    # first members in (p, q, x) order, as the search over all rows p <= n found them
+    for doubled, (p, q, x, y) in (
+        (10**17 + 3, (1, 10_639, 316_210_285, 316_234_608)),
+        (123_456_789_012_345_678, (1, 10_786, 351_355_077, 351_362_502)),
+        (999_999_999_999_999_989, (1, 2, 999_999_996, 1_000_000_001)),
+    ):
         cert = min_moves(doubled)
         assert cert.status == CERTIFIED_OPTIMAL
+        assert cert.witness == family_state(p, q, x, y)
         assert cert.witness.move_cost == cert.lower_bound == lower_bound(doubled)
         assert cert.witness.doubled_area == doubled
 

@@ -473,6 +473,11 @@ def test_parse_packing_rejects_garbage():
         parse_packing("5\n1 2 3 4 5\n")
 
 
+def test_parse_packing_reports_physical_line_numbers():
+    with pytest.raises(ValueError, match="^line 4: expected 'x y \\[y3\\]', got '5 3 1 2'$"):
+        parse_packing("10\n\n# c\n5 3 1 2\n")
+
+
 def test_parse_packing_optional_component():
     instance = parse_packing("10\n5 3\n11/2 0 1/2\n")
     assert instance.anchors[0] == (Sqrt3(5), Sqrt3(3))
