@@ -12,11 +12,18 @@ output.  Wall-clock timings are filled in only with --timings.  Exit codes:
 usage errors, malformed inputs, and exhausted budgets.  Every error that
 exits 2 is a ValueError (UsageError and gcdperfect.BudgetExceeded included),
 and run() maps it to exit 2 in one place.
+
+The argparse tree is built once per process and shared by every run() call;
+parse_args gives each call a fresh Namespace, so no state carries over.  The
+numpy-backed layers (cyclic, and scan behind pinopt.oracle_min_moves) are
+imported by the handlers that use them, so the other subcommands never load
+numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,7 +33,7 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 
-from . import __version__, cyclic, funceq, gcdperfect, pinopt, rectconcur, tripack
+from . import __version__, funceq, gcdperfect, pinopt, rectconcur, tripack
 from .svg import Scene
 
 
@@ -258,6 +265,8 @@ def _cmd_pack_render(args) -> tuple[int, dict, list[str]]:
 
 
 def _cyclic_report_fields(v: cyclic.CycleVector, tol: float) -> dict:
+    from . import cyclic
+
     res = cyclic.residuals(v)
     fields = {"residual_max_abs": res.max_abs}
     if res.max_abs <= tol:
@@ -269,6 +278,8 @@ def _cyclic_report_fields(v: cyclic.CycleVector, tol: float) -> dict:
 
 
 def _cmd_cyclic_solve(args) -> tuple[int, dict, list[str]]:
+    from . import cyclic
+
     init = None
     if args.init:
         init = _parse_file(cyclic.parse_entries, args.init, "entries")
@@ -296,6 +307,8 @@ def _cmd_cyclic_solve(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_cyclic_verify(args) -> tuple[int, dict, list[str]]:
+    from . import cyclic
+
     v = _parse_file(cyclic.parse_entries, args.input, "entries")
     res = cyclic.residuals(v)
     env_fields = {"n": v.n, "residual_max_abs": res.max_abs}
@@ -427,6 +440,7 @@ def _cmd_rect_render(args) -> tuple[int, dict, list[str]]:
 # -- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jmokit",

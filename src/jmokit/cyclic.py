@@ -274,7 +274,10 @@ def parse_entries(text: str) -> CycleVector:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        values.append(float(line))
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     if len(values) % 2 or len(values) < 8:
         raise ValueError(f"need an even number of entries >= 8, got {len(values)}")
     return CycleVector(len(values) // 2, tuple(values))

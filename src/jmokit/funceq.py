@@ -204,7 +204,10 @@ def parse_table(text: str) -> FunctionTable:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'n value', got {raw!r}")
-        n, v = int(parts[0]), int(parts[1])
+        try:
+            n, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
         if n < 1:
             raise ValueError(f"line {lineno}: n = {n} is not a positive integer")
         if n in values:

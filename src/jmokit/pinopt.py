@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import scan
 from .kernel import LatticePoint, isqrt_ceil_of_sqrt, shoelace_doubled
 
 CERTIFIED_OPTIMAL = "certified_optimal"
@@ -114,6 +113,8 @@ def oracle_min_moves(doubled_area: int, radius: int) -> int:
             f"radius {radius} too small for doubled area {doubled_area}: "
             "the search would be incomplete"
         )
+    from . import scan
+
     hit = scan.min_cost_triangle(doubled_area, radius, cost_cap=2 * radius)
     if hit is None:
         raise ValueError(

@@ -405,13 +405,17 @@ def parse_packing(text: str) -> PackingInstance:
     rows = [(lineno, line) for lineno, line in rows if line]
     if not rows:
         raise ValueError("empty packing file")
-    side = Fraction(rows[0][1])
+    lineno, line = rows[0]
     anchors: list[Point] = []
-    for lineno, line in rows[1:]:
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected 'x y [y3]', got {line!r}")
-        x = Fraction(parts[0])
-        y = Sqrt3(Fraction(parts[1]), Fraction(parts[2]) if len(parts) == 3 else 0)
-        anchors.append((Sqrt3(x), y))
+    try:  # every error below names the physical line it was read from
+        side = Fraction(line)
+        for lineno, line in rows[1:]:
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise ValueError(f"expected 'x y [y3]', got {line!r}")
+            x = Fraction(parts[0])
+            y = Sqrt3(Fraction(parts[1]), Fraction(parts[2]) if len(parts) == 3 else 0)
+            anchors.append((Sqrt3(x), y))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"line {lineno}: {exc}") from exc
     return PackingInstance(side_len=side, anchors=anchors)

@@ -1,6 +1,9 @@
 import contextlib
 import json
+import os
 import resource
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
@@ -79,6 +82,11 @@ ERROR_FILES = {
     "inf.txt": "inf\n" * 8,
     "bad_entries.txt": "1\n2\nx\n2\n1\n2\n1\n2\n",
     "bad_packing.txt": "not a rational\n",
+    # bad values after comments and blank lines: the error names the physical line
+    "bad_entries_line5.txt": "# start\n1\n2\n\nx\n1\n2\n1\n2\n1\n",
+    "bad_side.txt": "# side, then anchors\nside eight\n",
+    "bad_anchor.txt": "10\n1 1\n\n1 y\n",
+    "bad_table.txt": "# n value\n1 1\n2 x\n",
 }
 
 
@@ -90,7 +98,17 @@ ERROR_FILES = {
         pytest.param(("pack", "validate", "--input", "{tmp}/bad_packing.txt"), {},
                      "bad packing file:", id="malformed-packing"),
         pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/bad_entries.txt"), {},
-                     "bad entries file: could not convert", id="malformed-init"),
+                     "bad entries file: line 3: could not convert", id="malformed-init"),
+        pytest.param(("cyclic", "verify", "--input", "{tmp}/bad_entries_line5.txt"), {},
+                     "bad entries file: line 5: could not convert", id="entries-line"),
+        pytest.param(("pack", "validate", "--input", "{tmp}/bad_side.txt"), {},
+                     "bad packing file: line 2: Invalid literal for Fraction: 'side eight'",
+                     id="packing-side-line"),
+        pytest.param(("pack", "validate", "--input", "{tmp}/bad_anchor.txt"), {},
+                     "bad packing file: line 4: Invalid literal for Fraction: 'y'",
+                     id="packing-anchor-line"),
+        pytest.param(("funceq", "check", "--input", "{tmp}/bad_table.txt"), {},
+                     "bad table file: line 3: invalid literal for int()", id="table-line"),
         pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/inf.txt"), {},
                      "bad entries file: entries must be finite", id="inf-init"),
         pytest.param(("cyclic", "verify", "--input", "{tmp}/inf.txt"), {},
@@ -303,3 +321,69 @@ def test_json_output_is_deterministic(capsys, argv):
     for key in ("tool", "version", "subcommand", "inputs", "timings"):
         assert key in env
     assert env["timings"] is None
+
+
+def call_outputs(capsys, argv):
+    """Exit code, stdout and stderr of one cli.run call, argparse exits included."""
+    try:
+        code = cli.run(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+SHARED_PARSER_SEQUENCE = [
+    ("pins", "solve", "--doubled-area", "x"),
+    ("--version",),
+    ("cyclic", "solve", "--n", "4", "--seed", "3", "--json"),
+    ("cyclic", "solve", "--n", "4", "--json"),
+    ("gcdset", "search", "--size", "2", "--max", "30", "--budget", "5000", "--json"),
+    ("gcdset", "search", "--size", "2", "--max", "30", "--json"),
+    ("pins", "solve", "--doubled-area", "4042", "--json"),
+]
+
+
+def test_shared_parser_leaks_nothing_between_calls(capsys, monkeypatch):
+    # one parser per process: each call must read as if it had a parser of its own
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [call_outputs(capsys, argv) for argv in SHARED_PARSER_SEQUENCE]
+    shared = [call_outputs(capsys, argv) for argv in SHARED_PARSER_SEQUENCE]
+    assert shared == fresh
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0]
+    assert json.loads(shared[3][1])["inputs"] == {
+        "n": 4, "seed": None, "init": None, "tol": 1e-10, "max_iter": 100, "out": None}
+    assert json.loads(shared[5][1])["inputs"] == {"size": 2, "max": 30, "budget": None}
+    assert json.loads(shared[6][1])["inputs"] == {"doubled_area": 4042}
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+from jmokit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (("pins", "solve", "--doubled-area", "4042"), False),
+        (("pack", "build", "--side", "6"), False),
+        (("gcdset", "check", "--elements", "6,14,15,35"), False),
+        (("funceq", "trace", "--limit", "50"), False),
+        (("rect", "batch", "--count", "3"), False),
+        (("pins", "oracle", "--doubled-area", "2", "--radius", "3"), True),
+        (("cyclic", "solve", "--n", "4", "--seed", "3"), True),
+    ],
+)
+def test_numpy_loads_only_for_oracle_and_cyclic(argv, loads_numpy):
+    # a fresh interpreter per case, so nothing imported by other tests counts
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["0", str(loads_numpy)]
