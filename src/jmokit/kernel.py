@@ -4,7 +4,9 @@ Everything here is immutable and pure: rational scalars, points with integer
 coordinates, prime factorizations, and the handful of integer formulas
 (doubled triangle area, integer ceil-of-square-root) that the problem modules
 lean on.  Verdict-producing geometry never touches floating point; the one
-irrational the toolkit needs, sqrt(3), is carried symbolically by Sqrt3.
+irrational the toolkit needs, sqrt(3), is carried symbolically by Sqrt3 in
+integer form.  _positive and _floor, the one sign test and the one floor of
+u + v*sqrt(3), serve Sqrt3 and the integer verdicts of tripack alike.
 """
 
 from __future__ import annotations
@@ -108,59 +110,80 @@ def isqrt_ceil_of_sqrt(m: int) -> int:
     return s if s * s == m else s + 1
 
 
-class Sqrt3:
-    """Element a + b*sqrt(3) of the quadratic extension Q(sqrt(3)).
+def _positive(u: int, v: int) -> bool:
+    """Whether u + v*sqrt(3) > 0; it is 0 only for u = v = 0."""
+    # mixed signs compare u^2 with 3v^2, which are never equal for integers
+    if v >= 0:
+        return u > 0 or 3 * v * v > u * u
+    return u > 0 and u * u > 3 * v * v
 
-    a and b are exact rationals, so arithmetic and comparisons are exact;
-    sqrt(3) never becomes a float inside a geometric verdict.  Sign tests
-    reduce to comparing a^2 with 3*b^2 (a^2 = 3*b^2 has no rational solution
-    besides a = b = 0, so ties cannot occur).
+
+def _floor(u: int, v: int, d: int) -> int:
+    """floor((u + v*sqrt(3)) / d) for d > 0."""
+    r = math.isqrt(3 * v * v)  # floor(|v|*sqrt(3)), an exact root only for v = 0
+    return (u + r if v >= 0 else u - r - 1) // d
+
+
+class Sqrt3:
+    """Element (p + q*sqrt(3))/d of the quadratic extension Q(sqrt(3)).
+
+    p, q, d are integers with gcd(p, q, d) = 1 and d > 0, so every element
+    has one form and arithmetic and comparisons are exact; sqrt(3) never
+    becomes a float inside a geometric verdict.  Signs come from _positive,
+    floors from _floor; a = p/d and b = q/d read as Fractions.  Operands
+    must be int, Fraction or Sqrt3.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    # -- coercion ------------------------------------------------------
+        if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
+            raise TypeError(f"Sqrt3 parts must be int or Fraction, got {a!r}, {b!r}")
+        self.d = math.lcm(a.denominator, b.denominator)  # gives gcd(p, q, d) = 1
+        self.p = a.numerator * (self.d // a.denominator)
+        self.q = b.numerator * (self.d // b.denominator)
 
     @staticmethod
     def of(value: "Sqrt3 | RationalLike") -> "Sqrt3":
-        if isinstance(value, Sqrt3):
-            return value
-        return Sqrt3(value)
+        return value if isinstance(value, Sqrt3) else Sqrt3(value)
+
+    a = property(lambda self: Fraction(self.p, self.d))
+    b = property(lambda self: Fraction(self.q, self.d))
 
     # -- arithmetic ----------------------------------------------------
 
+    def _minus(self, other) -> tuple[int, int]:
+        """(u, v) with self - other = (u + v*sqrt(3)) / (self.d * other.d)."""
+        o = Sqrt3.of(other)
+        return self.p * o.d - o.p * self.d, self.q * o.d - o.q * self.d
+
     def __add__(self, other):
         o = Sqrt3.of(other)
-        return Sqrt3(self.a + o.a, self.b + o.b)
+        return _reduced(self.p * o.d + o.p * self.d, self.q * o.d + o.q * self.d, self.d * o.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Sqrt3.of(other)
-        return Sqrt3(self.a - o.a, self.b - o.b)
+        return _reduced(*self._minus(other), self.d * Sqrt3.of(other).d)
 
     def __rsub__(self, other):
         return Sqrt3.of(other) - self
 
     def __mul__(self, other):
         o = Sqrt3.of(other)
-        return Sqrt3(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
+        return _reduced(self.p * o.p + 3 * self.q * o.q, self.p * o.q + self.q * o.p, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = Sqrt3.of(other)
-        norm = o.a * o.a - 3 * o.b * o.b  # zero only for o == 0
+        norm = o.p * o.p - 3 * o.q * o.q  # zero only for o == 0
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(3))")
-        return self * Sqrt3(o.a / norm, -o.b / norm)
+        return self * _reduced(o.d * o.p, -o.d * o.q, norm)
 
     def __neg__(self):
-        return Sqrt3(-self.a, -self.b)
+        return _reduced(-self.p, -self.q, self.d)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -168,56 +191,48 @@ class Sqrt3:
     # -- ordering ------------------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: compare |a| with |b|*sqrt(3) via squares
-        if a > 0:
-            return 1 if a * a > 3 * b * b else -1
-        return 1 if 3 * b * b > a * a else -1
+        return _positive(self.p, self.q) - _positive(-self.p, -self.q)
 
     def __eq__(self, other):
-        o = Sqrt3.of(other)
-        return self.a == o.a and self.b == o.b
-
-    def __lt__(self, other):
-        return (self - Sqrt3.of(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - Sqrt3.of(other)).sign() <= 0
+        if isinstance(other, (Sqrt3, int, Fraction)):
+            return self._minus(other) == (0, 0)
+        return NotImplemented
 
     def __gt__(self, other):
-        return (self - Sqrt3.of(other)).sign() > 0
+        return _positive(*self._minus(other))
+
+    def __lt__(self, other):
+        return _positive(*Sqrt3.of(other)._minus(self))
 
     def __ge__(self, other):
-        return (self - Sqrt3.of(other)).sign() >= 0
+        return not self < other
+
+    def __le__(self, other):
+        return not self > other
 
     def __hash__(self):
         # a rational element must hash like the Fraction it equals
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+        return hash(self.a) if self.q == 0 else hash((self.p, self.q, self.d))
 
     # -- conversion ----------------------------------------------------
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(3.0)
+        # int / int rounds correctly, as Fraction.__float__ does
+        return self.p / self.d + self.q / self.d * math.sqrt(3.0)
 
     def floor(self) -> int:
-        """Exact floor, safe even when float rounding straddles an integer."""
-        n = math.floor(float(self))
-        while self < n:
-            n -= 1
-        while self >= n + 1:
-            n += 1
-        return n
+        return _floor(self.p, self.q, self.d)
 
     def __repr__(self):
-        if self.b == 0:
-            return f"Sqrt3({self.a})"
-        return f"Sqrt3({self.a}, {self.b})"
+        return f"Sqrt3({self.a})" if self.q == 0 else f"Sqrt3({self.a}, {self.b})"
+
+
+def _reduced(p: int, q: int, d: int) -> Sqrt3:
+    """(p + q*sqrt(3))/d in lowest terms, for any d != 0."""
+    g = math.gcd(p, q, d) if d > 0 else -math.gcd(p, q, d)
+    x = object.__new__(Sqrt3)
+    x.p, x.q, x.d = p // g, q // g, d // g
+    return x
 
 
 SQRT3 = Sqrt3(0, 1)

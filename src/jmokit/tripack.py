@@ -20,13 +20,11 @@ below as L grows.
 
 All coordinates live in Q(sqrt(3)) so every containment and overlap verdict,
 including boundary contact, is decided exactly.  validate_packing and
-tessellate decide theirs as integer sign tests: each anchor is written as
-integer numerators over its own denominator, and the sign of u + v*sqrt(3)
-follows from the signs of u and v and, when they differ, from comparing u^2
-with 3v^2.  validate_packing has one overlap search, over a grid of unit
-cells.  The Sqrt3 predicates (point_inside_delta, triangle_inside_delta,
-triangles_overlap_exact, hex_gauge, hex_gauge_overlap) are the reference
-route: the tests compare the integer verdicts with them over all pairs.
+tessellate decide theirs on integer forms of the anchors, and validate_packing
+has one overlap search, over a grid of unit cells.  The Sqrt3 predicates
+(point_inside_delta, triangle_inside_delta, triangles_overlap_exact, hex_gauge,
+hex_gauge_overlap) are the reference route: the tests compare the integer
+verdicts with them over all pairs.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .kernel import Sqrt3
+from .kernel import Sqrt3, _floor, _positive
 
 Point = tuple[Sqrt3, Sqrt3]
 
@@ -214,32 +212,19 @@ class PackingReport:
 
 # -- integer verdicts -------------------------------------------------------
 #
-# An anchor (xa + xb*sqrt(3), ya + yb*sqrt(3)) is held as its integer form
-# (d, X, X3, Y, Y3): the anchor is ((X + X3*sqrt(3))/d, (Y + Y3*sqrt(3))/d),
-# and d is 6 times the lcm of the denominators of xa, xb, ya, yb and of the
-# rationals that meet it (L, and the margin in tessellate).  So d/2, L*d,
-# m*d and Y/3 are integers.  A per-anchor d keeps the numbers small: one
-# lcm over a whole file grows with every distinct denominator in it.
-
-
-def _positive(u: int, v: int) -> bool:
-    """Whether u + v*sqrt(3) > 0; it is 0 only for u = v = 0."""
-    if v >= 0:
-        return u > 0 or 3 * v * v > u * u
-    return u > 0 and u * u > 3 * v * v
-
-
-def _floor(u: int, v: int, d: int) -> int:
-    """floor((u + v*sqrt(3)) / d) for d > 0."""
-    r = math.isqrt(3 * v * v)  # floor(|v|*sqrt(3)), an exact root only for v = 0
-    return (u + r if v >= 0 else u - r - 1) // d
+# An anchor is held as its integer form (d, X, X3, Y, Y3), the point
+# ((X + X3*sqrt(3))/d, (Y + Y3*sqrt(3))/d); d is 6 times the lcm of the Sqrt3
+# denominators of x and y and of the rationals that meet it (L, and the margin
+# in tessellate), so d/2, L*d, m*d and Y/3 are integers.  One d per anchor stays
+# small, where one lcm over a file grows with every distinct denominator.  Signs
+# and floors come from kernel._positive and kernel._floor, which Sqrt3 uses too:
+# the integer and reference routes are independent in geometry, not arithmetic.
 
 
 def _integer_form(anchor, *rationals: Fraction) -> tuple[int, int, int, int, int]:
     x, y = as_point(anchor)
-    parts = (x.a, x.b, y.a, y.b)
-    d = 6 * math.lcm(*(f.denominator for f in parts + rationals))
-    return (d, *(f.numerator * (d // f.denominator) for f in parts))
+    d = 6 * math.lcm(x.d, y.d, *(f.denominator for f in rationals))
+    return (d, *(n * (d // c.d) for c in (x, y) for n in (c.p, c.q)))
 
 
 def _inside(d: int, x: int, x3: int, y: int, y3: int, side: Fraction, margin: Fraction) -> bool:

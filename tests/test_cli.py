@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import resource
@@ -185,6 +186,34 @@ def test_pack_render_empty_packing(capsys, tmp_path):
     assert code == 0
     doc = xml.dom.minidom.parse(str(svg))
     assert len(doc.getElementsByTagName("polygon")) == 1  # Delta only
+
+
+# SHA-256 of pack outputs, recorded before Sqrt3 moved to its integer form.
+# Only an announced envelope or SVG change (a version bump included) may
+# re-record them.
+PACK_GOLDEN_SHA256 = {
+    "envelope": "176a7bfe16494aa36ba6c06975c379c676cf09fc9d73810e392e349fc2efcd58",
+    "build.svg": "a4ac45cd5034b78e6c81f09b10ef4bdd562f34998b7d05e9f1f43388f426049e",
+    "hand.svg": "fd32be34054fa49aef6a2043cbac69b5a5a1a8ee88381475c47b4e84d72c2313",
+}
+# odd denominators and sqrt(3) parts in every anchor; render does not validate
+HAND_PACKING = "25/3\n3 1/5 3/7\n9/2 0 5/9\n17/3 -1/3 7/9\n"
+
+
+def test_pack_outputs_match_golden_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    build = ("pack", "build", "--side", "29/2", "--margin", "1/2")
+    code, envelope = run_cli(capsys, *build, "--json")
+    assert code == 0
+    run_cli(capsys, *build, "--out", "build.txt")
+    Path("hand.txt").write_text(HAND_PACKING)
+    for name in ("build", "hand"):
+        code, _ = run_cli(capsys, "pack", "render", "--input", f"{name}.txt", "--svg", f"{name}.svg")
+        assert code == 0
+    digests = {"envelope": hashlib.sha256(envelope.encode()).hexdigest()}
+    digests |= {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                for name in ("build.svg", "hand.svg")}
+    assert digests == PACK_GOLDEN_SHA256
 
 
 def test_cyclic_solve_and_verify_roundtrip(capsys, tmp_path):

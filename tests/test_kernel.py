@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 
@@ -6,11 +7,14 @@ import pytest
 from jmokit.kernel import (
     LatticePoint,
     Sqrt3,
+    _floor,
+    _positive,
     factorize,
     is_prime,
     isqrt_ceil_of_sqrt,
     shoelace_doubled,
 )
+from jmokit.tripack import _integer_form
 
 
 def test_shoelace_degenerate_coincident():
@@ -182,6 +186,60 @@ def test_sqrt3_floor():
 def test_sqrt3_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Sqrt3(1) / Sqrt3(0)
+
+
+def test_sqrt3_equality_with_non_numbers():
+    assert Sqrt3(1) == 1 and Sqrt3(1) == Fraction(1) and Sqrt3(1) == Sqrt3(1)
+    assert Sqrt3(1) != "1"
+    assert Sqrt3(1) != None  # noqa: E711
+    assert Sqrt3(1) not in [None, "1", 1.0]
+    assert Sqrt3(1) in [None, Sqrt3(1)]
+    for bad in ("1", 1.0, None):
+        with pytest.raises(TypeError):
+            Sqrt3.of(bad)
+        with pytest.raises(TypeError):
+            Sqrt3(0, bad)
+
+
+# -- the one sign test and floor of u + v*sqrt(3), against decimal ------------
+
+ORACLE = decimal.Context(prec=120)
+ORACLE_SQRT3 = ORACLE.sqrt(3)
+
+
+def _pell(u, v):
+    """(u, v), then its products with the unit 2 + sqrt(3), below 10^40."""
+    pairs = []
+    while u < 10**40:
+        pairs.append((u, v))
+        u, v = 2 * u + 3 * v, u + 2 * v
+    return pairs
+
+
+def _oracle_cases():
+    # near-ties u^2 - 3v^2 = 1 and u^2 - 3v^2 = -2 in all four sign arrangements
+    pairs = [(su * u, sv * v) for u, v in _pell(2, 1) + _pell(1, 1)
+             for su in (1, -1) for sv in (1, -1)]
+    rng = random.Random(8)
+    pairs += [(rng.randint(-10**50, 10**50), rng.randint(-10**50, 10**50)) for _ in range(2000)]
+    pairs += [(0, 0), (5, 0), (-5, 0), (0, 7), (0, -7)]
+    cases = [(u, v, d) for u, v in pairs for d in (1, 2, 3, 12, 10**20 + 39)]
+    # the grid cells of validate_packing: exact integers and negative sqrt(3)
+    # parts, taken through tripack's integer form
+    rng = random.Random(5)
+    for _ in range(3000):
+        x = Sqrt3(Fraction(rng.randint(-24, 24), 8), Fraction(rng.randint(-12, 12), 8))
+        d, u, v, _, _ = _integer_form((x, Sqrt3(0)))
+        cases.append((u, v, d))
+    return cases
+
+
+def test_sign_and_floor_match_decimal_oracle():
+    for u, v, d in _oracle_cases():
+        value = ORACLE.add(u, ORACLE.multiply(v, ORACLE_SQRT3))
+        assert _positive(u, v) == (value > 0), (u, v)
+        floor = ORACLE.divide(value, d).to_integral_value(rounding=decimal.ROUND_FLOOR)
+        assert _floor(u, v, d) == floor, (u, v, d)
 
 
 def test_factorization_is_squarefree():

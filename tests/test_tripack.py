@@ -7,7 +7,6 @@ import pytest
 
 from jmokit.kernel import SQRT3, Sqrt3
 from jmokit.tripack import (
-    _floor,
     _inside,
     _integer_form,
     PackingInstance,
@@ -265,16 +264,6 @@ def test_integer_route_matches_sqrt3_on_random_packings():
         seen["outside" if expected[0] is not None else "inside"] += 1
         seen["overlap" if expected[1] is not None else "disjoint"] += 1
     assert min(seen.values()) >= 20, seen
-
-
-def test_integer_floor_matches_sqrt3_floor():
-    # the grid cells of validate_packing, including exact integers and
-    # negative sqrt(3) parts
-    rng = random.Random(5)
-    for _ in range(3000):
-        v = _random_sqrt3(rng, 3)
-        d, x, x3, _, _ = _integer_form((v, Sqrt3(0)))
-        assert _floor(x, x3, d) == v.floor(), v
 
 
 def _turn60(p):
