@@ -17,7 +17,7 @@ The argparse tree is built once per process and shared by every run() call;
 parse_args gives each call a fresh Namespace, so no state carries over.  The
 numpy-backed layers (cyclic, and scan behind pinopt.oracle_min_moves) are
 imported by the handlers that use them, so the other subcommands never load
-numpy.
+numpy; funceq is imported the same way, so no other subcommand pays for it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import time
 from dataclasses import asdict
 from fractions import Fraction
 
-from . import __version__, funceq, gcdperfect, pinopt, rectconcur, tripack
+from . import __version__, gcdperfect, pinopt, rectconcur, tripack
 from .svg import Scene
 
 
@@ -331,6 +331,8 @@ def _cmd_cyclic_verify(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_funceq_check(args) -> tuple[int, dict, list[str]]:
+    from . import funceq
+
     table = _parse_file(funceq.parse_table, args.input, "table")
     violations = funceq.check_table(table)
     env_fields = {
@@ -350,11 +352,11 @@ def _cmd_funceq_check(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_funceq_trace(args) -> tuple[int, dict, list[str]]:
+    from . import funceq
+
     trace = funceq.forced_trace(args.limit)
-    rules = {}
-    for step in trace:
-        rules[step.rule] = rules.get(step.rule, 0) + 1
     result = funceq.replay_trace(trace)
+    rules = result.rule_counts
     env_fields = {
         "limit": args.limit,
         "steps": len(trace),

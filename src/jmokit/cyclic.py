@@ -37,6 +37,10 @@ from typing import Union
 
 import numpy as np
 
+# solve takes a dense n x n Newton step (103 MB peak at n = 2000), so larger
+# n is refused before anything is allocated.
+MAX_N = 2000
+
 
 @dataclass(frozen=True)
 class CycleVector:
@@ -169,6 +173,9 @@ def solve(
     """
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"n must be <= {MAX_N} (the Newton step is a dense n x n solve), "
+                         f"got {n}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:

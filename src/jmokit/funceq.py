@@ -14,16 +14,33 @@ which, combined with the two conditions, gives
 f(u^2 - v^2) * f(2uv) = (f(u) f(v))^2; a product of positive integers equal
 to 1 forces both factors to 1.  replay_trace re-verifies every arithmetic
 side condition of a trace independently of the generator.
+
+A Trace holds its steps in columns, not one object per step: chunks of at
+most CHUNK steps, each four equal-length sequences (target, rule code, u, v).
+forced_trace builds each chunk from range slices only when the replay asks
+for it, so a replay holds one chunk plus a bitmap of one byte per n.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import functools
+import re
+from itertools import count
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 BASE_ONE = "base_one"
 BASE_TWO = "base_two"
 ODD_DIFFERENCE = "odd_difference"
 EVEN_DOUBLE = "even_double"
+RULES = (BASE_ONE, BASE_TWO, ODD_DIFFERENCE, EVEN_DOUBLE)  # a rule's code is its index
+_BASE_ONE, _BASE_TWO, _ODD, _EVEN = range(4)
+
+CHUNK = 1 << 14          # steps per trace chunk; even, so every chunk starts at an odd target
+MAX_TRACE_LIMIT = 10**8  # the replay bitmap takes one byte per n: 100 MB at the bound
+
+# A '#' comment runs to the next line break, as str.splitlines breaks lines.
+# Compiled by re.sub on first use, so imports that parse no table skip it.
+_COMMENT = "#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*"
 
 
 class FunctionTable:
@@ -85,11 +102,54 @@ class DerivationStep(NamedTuple):
     params: Optional[tuple[int, int]]
 
 
+Chunk = tuple[Sequence[int], Sequence[int], Sequence[Optional[int]], Sequence[int]]
+
+
+class Trace:
+    """Derivation steps in chunks of four columns: target, rule code, u, v.
+
+    The code indexes `names` (RULES, then any unknown rule names of a
+    hand-written trace).  A step without parameters has u = None and v = 0.
+    `size` is the largest target, the size of the replay's bitmap.
+    Iterating a trace reads its steps back as DerivationSteps.
+    """
+
+    __slots__ = ("_len", "size", "names", "chunks")
+
+    def __init__(self, length: int, size: int, chunks: Callable[[], Iterable[Chunk]],
+                 names: tuple[str, ...] = RULES):
+        self._len = length
+        self.size = size
+        self.names = names
+        self.chunks = chunks
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[DerivationStep]:
+        for targets, codes, us, vs in self.chunks():
+            for target, code, u, v in zip(targets, codes, us, vs):
+                yield DerivationStep(target, self.names[code], None if u is None else (u, v))
+
+    @classmethod
+    def from_steps(cls, steps: Iterable[DerivationStep]) -> "Trace":
+        """A hand-written trace in the same chunked column form."""
+        steps = list(steps)
+        names = list(dict.fromkeys([*RULES, *(s.rule for s in steps)]))
+        columns = ([s.target for s in steps], [names.index(s.rule) for s in steps],
+                   [None if s.params is None else s.params[0] for s in steps],
+                   [0 if s.params is None else s.params[1] for s in steps])
+        chunks = [tuple(column[lo:lo + CHUNK] for column in columns)
+                  for lo in range(0, len(steps), CHUNK)]
+        return cls(len(steps), max([0, *columns[0]]), chunks.__iter__, tuple(names))
+
+
 class ReplayResult(NamedTuple):
     ok: bool
     failed_index: Optional[int]
     reason: Optional[str]
     derived: int
+    rule_counts: dict[str, int]  # steps accepted per rule, in order of first use
 
 
 def check_table(table: FunctionTable) -> list[Violation]:
@@ -101,102 +161,147 @@ def check_table(table: FunctionTable) -> list[Violation]:
     so mutation tests see every broken constraint rather than only the first.
     """
     n = table.limit
-    f = table
+    f = table._values
     out: list[Violation] = []
     a = 1
     while 2 * a * a <= n:
+        a2, fa = a * a, f[a]
         b = a
-        while a * a + b * b <= n:
-            lhs = f(a * a + b * b)
-            rhs = f(a) * f(b)
+        while a2 + b * b <= n:
+            lhs, rhs = f[a2 + b * b], fa * f[b]
             if lhs != rhs:
                 out.append(Violation("sum_rule", (a, b), lhs, rhs))
             b += 1
         a += 1
     a = 1
     while a * a <= n:
-        lhs = f(a * a)
-        rhs = f(a) ** 2
+        lhs, rhs = f[a * a], f[a] ** 2
         if lhs != rhs:
             out.append(Violation("square_rule", (a,), lhs, rhs))
         a += 1
     return out
 
 
-def forced_trace(limit: int) -> list[DerivationStep]:
+def forced_trace(limit: int) -> Trace:
     """Derivation forcing f(n) = 1 for every n in [1..limit], in order.
 
     n = 1 from f(1) = f(1)^2; n = 2 from f(2) = f(1)^2; odd n = 2k+1 >= 3
     via (u, v) = (k+1, k); even n = 2k >= 4 via (u, v) = (k, 1).  Every
     step's parameters are strictly smaller than its target, so they are
-    always derived first.
+    always derived first.  The chunks are built when the trace is read.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    steps: list[DerivationStep] = [DerivationStep(1, BASE_ONE, None)]
-    if limit >= 2:
-        steps.append(DerivationStep(2, BASE_TWO, None))
-    for target in range(3, limit + 1):
-        if target % 2:
-            k = target // 2
-            steps.append(DerivationStep(target, ODD_DIFFERENCE, (k + 1, k)))
-        else:
-            steps.append(DerivationStep(target, EVEN_DOUBLE, (target // 2, 1)))
-    return steps
+    if limit > MAX_TRACE_LIMIT:
+        raise ValueError(f"limit must be <= {MAX_TRACE_LIMIT} (the replay keeps one byte "
+                         f"per n), got {limit}")
+    return Trace(limit, limit, functools.partial(_forced_chunks, limit))
 
 
-def replay_trace(trace: list[DerivationStep]) -> ReplayResult:
+def _forced_chunks(limit: int) -> Iterator[Chunk]:
+    for lo in range(1, limit + 1, CHUNK):
+        m = min(CHUNK, limit + 1 - lo)
+        k, odd = lo // 2, (m + 1) // 2     # lo = 2k + 1; odd targets sit at even offsets
+        codes = (bytearray((_ODD, _EVEN)) * odd)[:m]
+        us, vs = [0] * m, [1] * m
+        us[0::2] = range(k + 1, k + 1 + odd)       # 2j + 1 -> (j + 1, j)
+        vs[0::2] = range(k, k + odd)
+        us[1::2] = range(k + 1, k + 1 + m // 2)    # 2j -> (j, 1)
+        if lo == 1:
+            codes[:2] = bytes((_BASE_ONE, _BASE_TWO))[:m]
+            us[:2] = [None, None][:m]
+            vs[:2] = [0, 0][:m]
+        yield range(lo, lo + m), codes, us, vs
+
+
+def replay_trace(trace: Trace) -> ReplayResult:
     """Independently verify a derivation trace step by step.
 
     Checks, per step: the rule's arithmetic formula matches the target,
-    u > v >= 1, and every cited parameter was derived by an earlier step.
-    Only the step's stated target is marked derived (the companion value
-    produced by the two-factor identity is not recorded).  Returns the
-    first failing step on failure.
+    u > v >= 1, and every cited parameter was derived by an earlier step,
+    in an earlier chunk or earlier in this one.  Only the step's stated
+    target is marked derived (the companion value produced by the
+    two-factor identity is not recorded).  Returns the first failing step on
+    failure, and counts the accepted steps per rule.
     """
-    if not trace:
-        return ReplayResult(False, None, "empty trace", 0)
-    size = max(step.target for step in trace)
-    derived = bytearray(size + 1)
+    if not len(trace):
+        return ReplayResult(False, None, "empty trace", 0, {})
+    derived = bytearray(trace.size + 1)
+    names = trace.names
+    rule_counts: dict[str, int] = {}
+    start = 0
 
-    def fail(i: int, why: str) -> ReplayResult:
-        return ReplayResult(False, i, why, sum(derived))
+    def fail(i: int, why: str) -> ReplayResult:  # codes and start are the current chunk's
+        _count_rules(rule_counts, names, codes[:i - start])
+        return ReplayResult(False, i, why, derived.count(1), rule_counts)
 
-    for i, step in enumerate(trace):
-        target, rule, params = step
-        if target < 1:
-            return fail(i, f"target {target} is not a positive integer")
-        if rule == BASE_ONE:
-            if target != 1:
-                return fail(i, "base_one only derives n = 1")
-        elif rule == BASE_TWO:
-            if target != 2:
-                return fail(i, "base_two only derives n = 2")
-            if not derived[1]:
-                return fail(i, "base_two requires 1 derived first")
-        elif rule in (ODD_DIFFERENCE, EVEN_DOUBLE):
-            if params is None:
-                return fail(i, f"{rule} requires parameters (u, v)")
-            u, v = params
-            if not (u > v >= 1):
-                return fail(i, f"need u > v >= 1, got (u, v) = ({u}, {v})")
-            expected = u * u - v * v if rule == ODD_DIFFERENCE else 2 * u * v
-            if target != expected:
-                return fail(i, f"target {target} != rule value {expected}")
-            if u > size or not derived[u]:
-                return fail(i, f"parameter {u} not derived before step {i}")
-            if not derived[v]:
-                return fail(i, f"parameter {v} not derived before step {i}")
-        else:
-            return fail(i, f"unknown rule {rule!r}")
-        derived[target] = 1
+    for targets, codes, us, vs in trace.chunks():
+        for i, target, code, u, v in zip(count(start), targets, codes, us, vs):
+            if target < 1:
+                return fail(i, f"target {target} is not a positive integer")
+            if code == _ODD or code == _EVEN:
+                if u is None:
+                    return fail(i, f"{names[code]} requires parameters (u, v)")
+                if not (u > v >= 1):
+                    return fail(i, f"need u > v >= 1, got (u, v) = ({u}, {v})")
+                expected = u * u - v * v if code == _ODD else 2 * u * v
+                if target != expected:
+                    return fail(i, f"target {target} != rule value {expected}")
+                # u < target <= size, so derived[u] exists
+                if not derived[u]:
+                    return fail(i, f"parameter {u} not derived before step {i}")
+                if not derived[v]:
+                    return fail(i, f"parameter {v} not derived before step {i}")
+            elif code == _BASE_ONE:
+                if target != 1:
+                    return fail(i, "base_one only derives n = 1")
+            elif code == _BASE_TWO:
+                if target != 2:
+                    return fail(i, "base_two only derives n = 2")
+                if not derived[1]:
+                    return fail(i, "base_two requires 1 derived first")
+            else:
+                return fail(i, f"unknown rule {names[code]!r}")
+            derived[target] = 1
+        _count_rules(rule_counts, names, codes)
+        start += len(codes)
+    return ReplayResult(True, None, None, derived.count(1), rule_counts)
 
-    return ReplayResult(True, None, None, sum(derived))
+
+def _count_rules(rule_counts: dict[str, int], names: tuple[str, ...],
+                 codes: Sequence[int]) -> None:
+    for code in sorted(set(codes), key=codes.index):
+        rule_counts[names[code]] = rule_counts.get(names[code], 0) + codes.count(code)
 
 
 def parse_table(text: str) -> FunctionTable:
-    """Parse "n value" lines (blank lines and #-comments ignored)."""
-    values: dict[int, int] = {}
+    """Parse "n value" lines (blank lines and #-comments ignored).
+
+    One split() of the comment-free text gives the n and value columns; a
+    table listing n = 1..N in order becomes its value column as it stands.
+    Only when a line is at fault (a field count, a non-integer, n < 1 or a
+    repeated n) are the lines walked one by one, so that the error names the
+    first offending physical line.
+    """
+    body = re.sub(_COMMENT, "", text) if "#" in text else text
+    ns = values = None
+    if set(map(len, map(str.split, body.splitlines()))) <= {0, 2}:  # two fields a line
+        tokens = body.split()
+        try:
+            ns, values = list(map(int, tokens[0::2])), list(map(int, tokens[1::2]))
+        except ValueError:  # a field that is not an integer
+            pass
+    if ns is not None and ns == list(range(1, len(ns) + 1)):
+        return FunctionTable(values)
+    if ns is None or min(ns, default=1) < 1 or len(set(ns)) < len(ns):
+        _raise_line_error(text)
+    return FunctionTable(dict(zip(ns, values)))  # n out of order, or missing
+
+
+def _raise_line_error(text: str) -> None:
+    """Raise for the first line that is malformed, has n < 1 or repeats an n;
+    parse_table calls it only when such a line exists."""
+    seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -205,12 +310,11 @@ def parse_table(text: str) -> FunctionTable:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'n value', got {raw!r}")
         try:
-            n, v = int(parts[0]), int(parts[1])
+            n, _ = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         if n < 1:
             raise ValueError(f"line {lineno}: n = {n} is not a positive integer")
-        if n in values:
+        if n in seen:
             raise ValueError(f"line {lineno}: duplicate entry for n = {n}")
-        values[n] = v
-    return FunctionTable(values)
+        seen.add(n)

@@ -126,6 +126,12 @@ ERROR_FILES = {
                      "unrecognized arguments: --cap", id="no-cap"),
         pytest.param(("funceq", "trace", "--limit", "5", "--no-replay"), {},
                      "unrecognized arguments: --no-replay", id="no-skip-replay"),
+        pytest.param(("funceq", "trace", "--limit", "100000001"), {},
+                     "limit must be <= 100000000", id="trace-limit-bound"),
+        pytest.param(("cyclic", "solve", "--n", "2001", "--seed", "3"), {},
+                     "n must be <= 2000", id="cyclic-n-bound"),
+        pytest.param(("cyclic", "solve", "--n", str(10**12)), {},
+                     "n must be <= 2000", id="cyclic-n-huge"),
         pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "inf"), {},
                      "argument --tol", id="tol-inf"),
         pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "nan"), {},

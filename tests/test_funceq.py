@@ -5,10 +5,13 @@ import pytest
 from jmokit.funceq import (
     BASE_ONE,
     BASE_TWO,
+    CHUNK,
     EVEN_DOUBLE,
+    MAX_TRACE_LIMIT,
     ODD_DIFFERENCE,
     DerivationStep,
     FunctionTable,
+    Trace,
     check_table,
     forced_trace,
     parse_table,
@@ -59,13 +62,13 @@ def test_forced_trace_base_cases():
 
 def test_forced_trace_odd_step():
     # 7 = 4^2 - 3^2
-    step = forced_trace(7)[-1]
+    step = list(forced_trace(7))[-1]
     assert step == DerivationStep(7, ODD_DIFFERENCE, (4, 3))
 
 
 def test_forced_trace_even_step():
     # 8 = 2 * 4 * 1
-    step = forced_trace(8)[-1]
+    step = list(forced_trace(8))[-1]
     assert step == DerivationStep(8, EVEN_DOUBLE, (4, 1))
 
 
@@ -76,39 +79,41 @@ def test_replay_accepts_generator_output():
 
 
 def test_replay_rejects_u_not_greater_than_v():
-    trace = forced_trace(5) + [DerivationStep(5, ODD_DIFFERENCE, (3, 3))]
+    trace = Trace.from_steps([*forced_trace(5), DerivationStep(5, ODD_DIFFERENCE, (3, 3))])
     result = replay_trace(trace)
     assert not result.ok
     assert result.failed_index == len(trace) - 1
-    assert "u > v" in result.reason
+    assert result.reason == "need u > v >= 1, got (u, v) = (3, 3)"
 
 
 def test_replay_rejects_out_of_order_dependencies():
     # derive 9 = 5^2 - 4^2 before 4 and 5 exist
-    trace = [
+    trace = Trace.from_steps([
         DerivationStep(1, BASE_ONE, None),
         DerivationStep(2, BASE_TWO, None),
         DerivationStep(3, ODD_DIFFERENCE, (2, 1)),
         DerivationStep(9, ODD_DIFFERENCE, (5, 4)),
-    ]
+    ])
     result = replay_trace(trace)
     assert not result.ok
     assert result.failed_index == 3
-    assert "not derived" in result.reason
+    assert result.reason == "parameter 5 not derived before step 3"
 
 
 def test_replay_rejects_wrong_formula():
-    trace = [
+    trace = Trace.from_steps([
         DerivationStep(1, BASE_ONE, None),
         DerivationStep(2, BASE_TWO, None),
         DerivationStep(6, ODD_DIFFERENCE, (2, 1)),  # 2^2 - 1^2 = 3, not 6
-    ]
+    ])
     result = replay_trace(trace)
     assert not result.ok and result.failed_index == 2
+    assert result.reason == "target 6 != rule value 3"
 
 
 def test_replay_rejects_empty_trace():
-    assert not replay_trace([]).ok
+    result = replay_trace(Trace.from_steps([]))
+    assert (result.ok, result.reason) == (False, "empty trace")
 
 
 def test_trace_and_checker_agree_up_to_1000():
@@ -140,3 +145,262 @@ def test_parse_table():
         parse_table("1 1\n1 2\n")
     with pytest.raises(ValueError):
         parse_table("1\n")
+
+
+# -- the chunked trace -------------------------------------------------------
+
+
+def reference_forced_steps(limit):
+    """forced_trace before traces were chunked: one DerivationStep per n."""
+    steps = [DerivationStep(1, BASE_ONE, None)]
+    if limit >= 2:
+        steps.append(DerivationStep(2, BASE_TWO, None))
+    for target in range(3, limit + 1):
+        k = target // 2
+        if target % 2:
+            steps.append(DerivationStep(target, ODD_DIFFERENCE, (k + 1, k)))
+        else:
+            steps.append(DerivationStep(target, EVEN_DOUBLE, (k, 1)))
+    return steps
+
+
+def reference_replay(steps):
+    """replay_trace before traces were chunked, over a list of steps."""
+    if not steps:
+        return (False, None, "empty trace", 0)
+    size = max(step.target for step in steps)
+    derived = bytearray(size + 1)
+
+    def fail(i, why):
+        return (False, i, why, sum(derived))
+
+    for i, (target, rule, params) in enumerate(steps):
+        if target < 1:
+            return fail(i, f"target {target} is not a positive integer")
+        if rule == BASE_ONE:
+            if target != 1:
+                return fail(i, "base_one only derives n = 1")
+        elif rule == BASE_TWO:
+            if target != 2:
+                return fail(i, "base_two only derives n = 2")
+            if not derived[1]:
+                return fail(i, "base_two requires 1 derived first")
+        elif rule in (ODD_DIFFERENCE, EVEN_DOUBLE):
+            if params is None:
+                return fail(i, f"{rule} requires parameters (u, v)")
+            u, v = params
+            if not (u > v >= 1):
+                return fail(i, f"need u > v >= 1, got (u, v) = ({u}, {v})")
+            expected = u * u - v * v if rule == ODD_DIFFERENCE else 2 * u * v
+            if target != expected:
+                return fail(i, f"target {target} != rule value {expected}")
+            if u > size or not derived[u]:
+                return fail(i, f"parameter {u} not derived before step {i}")
+            if not derived[v]:
+                return fail(i, f"parameter {v} not derived before step {i}")
+        else:
+            return fail(i, f"unknown rule {rule!r}")
+        derived[target] = 1
+    return (True, None, None, sum(derived))
+
+
+def replay_outcome(steps):
+    result = replay_trace(Trace.from_steps(steps))
+    assert sum(result.rule_counts.values()) == (len(steps) if result.ok else
+                                                result.failed_index or 0)
+    return result[:4]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_forced_trace_reads_back_as_the_per_step_generator(limit):
+    trace = forced_trace(limit)
+    assert len(trace) == limit
+    assert list(trace) == reference_forced_steps(limit)
+    sizes = [{len(column) for column in chunk} for chunk in trace.chunks()]
+    assert sizes == [{min(CHUNK, limit - lo)} for lo in range(0, limit, CHUNK)]
+
+
+def test_forced_trace_is_built_when_read():
+    assert len(forced_trace(MAX_TRACE_LIMIT)) == MAX_TRACE_LIMIT
+    with pytest.raises(ValueError, match=f"limit must be <= {MAX_TRACE_LIMIT}"):
+        forced_trace(MAX_TRACE_LIMIT + 1)
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        forced_trace(0)
+
+
+def test_replay_counts_rules_in_order_of_first_use():
+    n = 2 * CHUNK + 3
+    result = replay_trace(forced_trace(n))
+    assert result.ok and result.derived == n
+    assert list(result.rule_counts.items()) == [
+        (BASE_ONE, 1), (BASE_TWO, 1), (ODD_DIFFERENCE, (n - 1) // 2), (EVEN_DOUBLE, n // 2 - 1)]
+    assert list(replay_trace(forced_trace(3)).rule_counts) == [BASE_ONE, BASE_TWO, ODD_DIFFERENCE]
+    assert replay_trace(Trace.from_steps(reference_forced_steps(n))) == result
+
+
+def edited_forced_steps(limit, edits):
+    steps = reference_forced_steps(limit)
+    for index, step in edits.items():
+        steps[index] = step
+    return steps
+
+
+@pytest.mark.parametrize("edits, index, reason", [
+    pytest.param({CHUNK: DerivationStep(4 * CHUNK, EVEN_DOUBLE, (2 * CHUNK, 1))}, CHUNK,
+                 f"parameter {2 * CHUNK} not derived before step {CHUNK}",
+                 id="derived-later-in-the-same-chunk"),
+    pytest.param({CHUNK - 1: DerivationStep(2 * CHUNK + 2, EVEN_DOUBLE, (CHUNK + 1, 1))},
+                 CHUNK - 1, f"parameter {CHUNK + 1} not derived before step {CHUNK - 1}",
+                 id="first-derived-in-the-next-chunk"),
+    pytest.param({2 * CHUNK + 4: DerivationStep(2 * CHUNK + 5, "triple_sum", (3, 1))},
+                 2 * CHUNK + 4, "unknown rule 'triple_sum'", id="unknown-rule-in-partial-chunk"),
+    pytest.param({CHUNK: DerivationStep(CHUNK + 3, ODD_DIFFERENCE, (CHUNK // 2 + 1, CHUNK // 2))},
+                 CHUNK, f"target {CHUNK + 3} != rule value {CHUNK + 1}",
+                 id="wrong-target-first-in-chunk"),
+])
+def test_replay_rejects_at_chunk_edges(edits, index, reason):
+    steps = edited_forced_steps(2 * CHUNK + 5, edits)
+    result = replay_trace(Trace.from_steps(steps))
+    assert (result.ok, result.failed_index, result.reason) == (False, index, reason)
+    assert result.derived == index == sum(result.rule_counts.values())
+    assert result[:4] == reference_replay(steps)
+
+
+def test_replay_reasons_match_the_per_step_replay():
+    one, two = DerivationStep(1, BASE_ONE, None), DerivationStep(2, BASE_TWO, None)
+    cases = [
+        [DerivationStep(2, BASE_ONE, None)],
+        [two],
+        [one, DerivationStep(3, BASE_TWO, None)],
+        [one, two, DerivationStep(0, ODD_DIFFERENCE, (2, 1))],
+        [one, two, DerivationStep(-3, EVEN_DOUBLE, None)],
+        [one, two, DerivationStep(3, ODD_DIFFERENCE, None)],
+        [one, two, DerivationStep(3, ODD_DIFFERENCE, (0, 0))],
+        [one, two, DerivationStep(3, EVEN_DOUBLE, (1, 2))],
+        [one, two, DerivationStep(-3, ODD_DIFFERENCE, (1, 2))],
+        [one, two, DerivationStep(0, ODD_DIFFERENCE, (2, 2))],
+        [one, two, DerivationStep(4, ODD_DIFFERENCE, (2, 0))],
+        [one, two, DerivationStep(3, ODD_DIFFERENCE, (2, -1))],
+        [one, two, DerivationStep(3, ODD_DIFFERENCE, (2, 1)),
+         DerivationStep(5, ODD_DIFFERENCE, (3, 2)), DerivationStep(9, ODD_DIFFERENCE, (5, 4))],
+        [one, two, DerivationStep(4, EVEN_DOUBLE, (2, 1)), DerivationStep(4, EVEN_DOUBLE, (2, 1))],
+        [one, DerivationStep(2, "base_three", None)],
+        [one, one, two],
+    ]
+    rng = random.Random(9)
+    for _ in range(300):
+        steps = reference_forced_steps(rng.randint(1, 60))
+        i = rng.randrange(len(steps))
+        target, rule, params = steps[i]
+        field = rng.randrange(3)
+        if field == 0:
+            target += rng.choice([-2, -1, 1, 2])
+        elif field == 1:
+            rule = rng.choice([BASE_ONE, BASE_TWO, ODD_DIFFERENCE, EVEN_DOUBLE, "other"])
+        else:
+            params = rng.choice([None, (1, 1), (1, 2), (2, 1), (target, 1), (i + 3, i + 1),
+                                 params and params[::-1]])
+        steps[i] = DerivationStep(target, rule, params)
+        if rng.random() < 0.3:
+            j = rng.randrange(len(steps))
+            steps[i], steps[j] = steps[j], steps[i]
+        cases.append(steps)
+    for steps in cases:
+        assert replay_outcome(steps) == reference_replay(steps), steps
+
+
+# -- the one-split table parse -------------------------------------------------
+
+
+def reference_parse_table(text):
+    """parse_table before the one-split parse: line by line into a dict."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'n value', got {raw!r}")
+        try:
+            n, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+        if n < 1:
+            raise ValueError(f"line {lineno}: n = {n} is not a positive integer")
+        if n in values:
+            raise ValueError(f"line {lineno}: duplicate entry for n = {n}")
+        values[n] = v
+    return FunctionTable(values)
+
+
+def parse_outcome(parse, text):
+    try:
+        table = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return [table(n) for n in range(1, table.limit + 1)]
+
+
+MALFORMED_TABLES = [
+    "", "\n\n", "# only a comment\n", "1 1\n2 1\n# comment\n3 5\n",
+    "# head\n\n1 1 # one\n  2\t1  \n\n3 1#c\n", "1 1 # a # b\n2 1", "#1 1\n1 1\n", "1 #1\n",
+    "1 1\r\n2 1\r\n3 1\r\n", "1 1\r\n2 x\r\n", "#\r1 1\n", "1 1\r2 1\r",
+    "1 1\x0c2 1\x0c3 1\n", "1 1\x0c2\x0c", "1 1 2 1 ", "1 1 2 3 1 1\n",
+    "1 1\x0b2 1\n", "1 1\x1c2 1\x1d3 1\x1e", "1 1\x852 1 ", "1\x1f1\n", "1\xa01\n",
+    "1 1\n2\n1 3 1\n", "1 1\n2\n", "1 1 1\n", "1\n", "1 1\n1 1 1\n",
+    "1 1\n2 two\n", "1 1.5\n", "x 1\n", "9" * 5000 + " 1\n", "１ 1\n", "1_0 1\n",
+    "0 5\n1 1\n", "-5 1\n", "1 1\n2 1\n1 1\n", "1 1\n3 1\n", "2 1\n3 1\n",
+    "3 1\n1 1\n2 1\n", "2 7\n1 1\n", "1 1\n2 0\n", "1 -1\n", "1 1\n3 0\n",
+    "1000000000 1\n", "1 1\n1000000000 1\n",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_TABLES)
+def test_parse_table_matches_line_parser_on_hand_picked_input(text):
+    assert parse_outcome(parse_table, text) == parse_outcome(reference_parse_table, text)
+
+
+def random_table_text(rng):
+    n = rng.randint(1, 40)
+    entries = [[str(k), str(rng.choice([1, 1, 1, 2, 3]))] for k in range(1, n + 1)]
+    if rng.random() < 0.3:
+        rng.shuffle(entries)
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        i = rng.randrange(len(entries))
+        kind = rng.randrange(8)
+        if len(entries[i]) != 2 or len(entries) == 1:
+            continue
+        if kind == 0:
+            del entries[i]
+        elif kind == 1:
+            entries.insert(rng.randrange(len(entries) + 1), list(entries[i]))
+        elif kind == 2:
+            entries[i] = entries[i][:1]
+        elif kind == 3:
+            entries[i] = entries[i] + ["1"]
+        elif kind == 4:
+            entries[i][rng.randrange(2)] = rng.choice(["x", "1.0", "", "0x1"])
+        elif kind == 5:
+            entries[i][0] = str(rng.choice([0, -1, 10**9]))
+        elif kind == 6:
+            entries[i][1] = str(rng.choice([0, -2]))
+        else:
+            entries.insert(i, [])
+    gaps, breaks = [" ", "\t", "  ", " \x1f"], ["\n", "\r\n", "\r", "\x0c", " ", "\x85"]
+    lines = []
+    for fields in entries:
+        line = rng.choice(gaps).join(fields)
+        if rng.random() < 0.1:
+            line = " " + line + rng.choice(["", " # note", "#"])
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "# comment", "  "]))
+    return rng.choice(breaks).join(lines) + rng.choice(["", "\n"])
+
+
+def test_parse_table_matches_line_parser_on_random_tables():
+    rng = random.Random(2021)
+    for _ in range(1500):
+        text = random_table_text(rng)
+        assert parse_outcome(parse_table, text) == parse_outcome(reference_parse_table, text), text
