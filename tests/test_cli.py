@@ -53,6 +53,15 @@ def test_gcdset_check_success(capsys):
     assert env["prime_count"] == 2
 
 
+def test_gcdset_check_element_bound(capsys):
+    # 10^12 itself is checked; one above it is refused before any factorizing
+    code, out = run_cli(capsys, "gcdset", "check", "--elements", "2,1000000000000", "--json")
+    assert code == 1 and json.loads(out)["witness_failure"] == [2, 1, 0]
+    code, out = run_cli(capsys, "gcdset", "check", "--elements", "2,999999999989")
+    assert (code, out) == (0, "gcd-perfect: yes (size 2)\nstructure: squarefree, k = 1\n")
+    assert run_cli(capsys, "gcdset", "check", "--elements", "2,1000000000001")[0] == 2
+
+
 def test_gcdset_construct(capsys):
     code, out = run_cli(capsys, "gcdset", "construct", "--k", "2",
                         "--p", "2,3", "--q", "5,7", "--json")
@@ -118,6 +127,8 @@ ERROR_FILES = {
                      "search node budget exceeded (0 nodes)", id="budget-zero"),
         pytest.param(("gcdset", "search", "--size", "2", "--max", "100"),
                      {"JMOKIT_NODE_BUDGET": "many"}, "JMOKIT_NODE_BUDGET", id="budget-env"),
+        pytest.param(("gcdset", "check", "--elements", "1000000000000000003,2"), {},
+                     "element 1000000000000000003 is above 10^12", id="check-element-bound"),
         pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "0"), {},
                      "max_iter must be >= 1, got 0", id="max-iter-zero"),
         pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "-5"), {},

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -147,6 +148,98 @@ def test_search_size_four_finds_only_valid_squarefree_sets():
 def test_search_budget_exhaustion():
     with pytest.raises(BudgetExceeded):
         search_size(2, 100, node_budget=3)
+
+
+@pytest.mark.parametrize("size, max_element, total, count", [(4, 150, 44241, 188),
+                                                             (8, 250, 62519, 0)])
+def test_search_budget_verdict_is_the_full_node_total(size, max_element, total, count):
+    # a level entered at start index s charges len(pool) - s nodes, so the
+    # search passes with exactly its full total and raises one node below it
+    assert len(search_size(size, max_element, node_budget=total)) == count
+    with pytest.raises(BudgetExceeded, match=f"\\({total - 1} nodes\\)"):
+        search_size(size, max_element, node_budget=total - 1)
+
+
+def divisor_count(s: int) -> int:
+    return sum(1 for d in range(1, s + 1) if s % d == 0)
+
+
+def brute_search(size: int, candidates) -> list[tuple[int, ...]]:
+    """Every size-subset of the ascending candidates that meets the definition, in
+    lexicographic order."""
+    return [c for c in itertools.combinations(candidates, size) if brute_perfect(c)]
+
+
+def test_search_matches_combinations_over_the_pool():
+    top = 60
+    pool = {size: [s for s in range(1, top + 1) if divisor_count(s) == size]
+            for size in range(1, 9)}
+    for size in range(1, 9):
+        expected = brute_search(size, pool[size])
+        for max_element in range(1, top + 1):
+            found = [s.elements for s in search_size(size, max_element)]
+            assert found == [c for c in expected if c[-1] <= max_element], (size, max_element)
+
+
+def test_search_matches_combinations_without_the_divisor_count_filter():
+    # over all of [1..20], so the d(s) = |S| filter is itself under test
+    for size in range(1, 5):
+        found = [s.elements for s in search_size(size, 20)]
+        assert found == brute_search(size, range(1, 21)), size
+
+
+def primes_up_to(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def classification(k: int, n: int) -> list[tuple[int, ...]]:
+    """construct(k, p, q) for every choice of k disjoint prime pairs {p_i < q_i}
+    whose products all stay <= n (the largest is the product of the q_i)."""
+    primes = primes_up_to(n)
+    sets = []
+
+    def pick(ps, qs, first, q_product):
+        if len(ps) == k:
+            sets.append(construct(k, ps, qs).elements)
+            return
+        for i in range(first, len(primes)):
+            p = primes[i]
+            if p in qs:
+                continue
+            if q_product * p >= n:
+                break  # every q_i > p_i >= p from here on
+            for q in primes[i + 1:]:
+                if q_product * q > n:
+                    break
+                if q not in qs:
+                    pick(ps + [p], qs + [q], i + 1, q_product * q)
+
+    pick([], [], 0, 1)
+    return sets
+
+
+@pytest.mark.parametrize("k, n", [(1, 1000), (2, 600), (3, 800)])
+def test_search_finds_exactly_the_classification(k, n):
+    found = [s.elements for s in search_size(2**k, n, node_budget=10**8)]
+    expected = classification(k, n)
+    assert len(set(expected)) == len(expected)  # distinct prime choices, distinct sets
+    assert len(found) == len(expected)
+    assert sorted(found) == sorted(expected)
+
+
+def test_classification_by_hand():
+    assert len(classification(1, 30)) == math.comb(10, 2)
+    # q-products <= 40: {2,3}{5,7}; {2,3}{p,11} for p = 5, 7; {2,3}{p,13} for
+    # p = 5, 7, 11; {2,5}{3,7} and {3,5}{2,7}
+    assert sorted(classification(2, 40)) == [
+        (6, 10, 21, 35), (6, 14, 15, 35), (10, 14, 15, 21), (10, 15, 22, 33),
+        (10, 15, 26, 39), (14, 21, 22, 33), (14, 21, 26, 39), (22, 26, 33, 39),
+    ]
+
+
+@pytest.mark.parametrize("size", [3, 5, 6, 7])
+def test_search_sizes_not_powers_of_two_are_empty(size):
+    assert search_size(size, 1000) == []
 
 
 def test_search_rejects_out_of_range():
