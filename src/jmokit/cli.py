@@ -140,9 +140,6 @@ def _cmd_pins_oracle(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_gcdset_check(args) -> tuple[int, dict, list[str]]:
     s = gcdperfect.GcdSet(_int_list(args.elements))
-    if s.elements and s.elements[-1] > gcdperfect.MAX_CHECK_ELEMENT:
-        raise UsageError(f"element {s.elements[-1]} is above 10^12, the bound for "
-                         "factorizing by trial division")
     report = gcdperfect.is_gcd_perfect(s)
     env_fields = {
         "elements": list(s.elements),

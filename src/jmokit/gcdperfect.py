@@ -28,8 +28,8 @@ from .kernel import Factorization, factorize, is_prime
 
 # search_size's node budget when the caller (or JMOKIT_NODE_BUDGET) sets none.
 DEFAULT_NODE_BUDGET = 10**6
-# gcdset check refuses larger elements: factorize is trial division, which
-# takes about 0.25 s for a prime near 10^12 and hours for one near 10^18.
+# GcdSet refuses larger elements: factorize is trial division, which takes
+# about 0.25 s for a prime near 10^12 and hours for one near 10^18.
 MAX_CHECK_ELEMENT = 10**12
 # search_size empties its pair-mask cache when it holds this many masks: at
 # most 2^16 * len(pool) / 8 bytes, about 21 MB for size 4 at max 10^4.
@@ -45,7 +45,7 @@ class BudgetExceeded(ValueError):
 
 
 class GcdSet:
-    """Strictly increasing elements with cached factorizations."""
+    """Strictly increasing elements, at most MAX_CHECK_ELEMENT, with cached factorizations."""
 
     __slots__ = ("elements", "_facts")
 
@@ -56,6 +56,9 @@ class GcdSet:
                 raise ValueError(f"duplicate element {a}")
         if elems and elems[0] < 1:
             raise ValueError("elements must be positive integers")
+        if elems and elems[-1] > MAX_CHECK_ELEMENT:
+            raise ValueError(f"element {elems[-1]} is above 10^12, the bound for "
+                             "factorizing by trial division")
         self.elements: tuple[int, ...] = tuple(elems)
         self._facts: dict[int, Factorization] = {}
 
@@ -128,16 +131,20 @@ def construct(k: int, p: list[int], q: list[int]) -> GcdSet:
     primes = list(p) + list(q)
     if len(set(primes)) != 2 * k:
         raise ValueError("the 2k primes must be pairwise distinct")
+    # GcdSet refuses elements outside [1, MAX_CHECK_ELEMENT] before any
+    # prime is tested.  The set doubles with each pair (p_i, q_i), and the
+    # doubling stops once an element falls outside: the pairs' larger values
+    # are distinct and at least 2, so that happens within 15 pairs.
+    elements = [1]
+    for a, b in zip(p, q):
+        elements = [e * v for v in (b, a) for e in elements]
+        if min(elements) < 1 or max(elements) > MAX_CHECK_ELEMENT:
+            break
+    s = GcdSet(elements)
     for v in primes:
         if not is_prime(v):
             raise ValueError(f"{v} is not prime")
-    elements = []
-    for mask in range(1 << k):
-        value = 1
-        for i in range(k):
-            value *= p[i] if mask >> i & 1 else q[i]
-        elements.append(value)
-    return GcdSet(elements)
+    return s
 
 
 def structure_report(S: GcdSet) -> StructureReport:

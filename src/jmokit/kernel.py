@@ -128,7 +128,7 @@ class Sqrt3:
     """Element (p + q*sqrt(3))/d of the quadratic extension Q(sqrt(3)).
 
     p, q, d are integers with gcd(p, q, d) = 1 and d > 0, so every element
-    has one form and arithmetic and comparisons are exact; sqrt(3) never
+    has one form and +, -, * and comparisons are exact; sqrt(3) never
     becomes a float inside a geometric verdict.  Signs come from _positive,
     floors from _floor; a = p/d and b = q/d read as Fractions.  Operands
     must be int, Fraction or Sqrt3.
@@ -174,13 +174,6 @@ class Sqrt3:
         return _reduced(self.p * o.p + 3 * self.q * o.q, self.p * o.q + self.q * o.p, self.d * o.d)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = Sqrt3.of(other)
-        norm = o.p * o.p - 3 * o.q * o.q  # zero only for o == 0
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(3))")
-        return self * _reduced(o.d * o.p, -o.d * o.q, norm)
 
     def __neg__(self):
         return _reduced(-self.p, -self.q, self.d)
@@ -228,8 +221,8 @@ class Sqrt3:
 
 
 def _reduced(p: int, q: int, d: int) -> Sqrt3:
-    """(p + q*sqrt(3))/d in lowest terms, for any d != 0."""
-    g = math.gcd(p, q, d) if d > 0 else -math.gcd(p, q, d)
+    """(p + q*sqrt(3))/d in lowest terms, for d > 0."""
+    g = math.gcd(p, q, d)
     x = object.__new__(Sqrt3)
     x.p, x.q, x.d = p // g, q // g, d // g
     return x

@@ -31,6 +31,9 @@ from dataclasses import dataclass
 from .kernel import LatticePoint, isqrt_ceil_of_sqrt, shoelace_doubled
 
 CERTIFIED_OPTIMAL = "certified_optimal"
+# oracle_min_moves refuses larger radii: at radius 1000 the scan's ball holds
+# about 2 * 10^6 points and takes seconds and hundreds of MB.
+MAX_ORACLE_RADIUS = 1000
 
 
 @dataclass(frozen=True)
@@ -103,11 +106,13 @@ def oracle_min_moves(doubled_area: int, radius: int) -> int:
     Enumerates every triple of lattice points with per-pin L1 norm at most
     radius and total cost at most 2*radius; independent of the family
     construction.  Requires 4*D <= (2*radius)^2 so that the radius is not
-    trivially too small for the lower bound.  Raises if no triangle with
-    the target doubled area exists in range.
+    trivially too small for the lower bound, and radius <= MAX_ORACLE_RADIUS.
+    Raises if no triangle with the target doubled area exists in range.
     """
     if doubled_area < 1:
         raise ValueError("doubled_area must be >= 1")
+    if radius > MAX_ORACLE_RADIUS:
+        raise ValueError(f"radius {radius} is above the bound MAX_ORACLE_RADIUS = 1000")
     if 4 * doubled_area > (2 * radius) ** 2:
         raise ValueError(
             f"radius {radius} too small for doubled area {doubled_area}: "

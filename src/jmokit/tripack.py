@@ -19,28 +19,36 @@ that tiles the plane by side-1/2 hexagons, approaching that density from
 below as L grows.
 
 All coordinates live in Q(sqrt(3)) so every containment and overlap verdict,
-including boundary contact, is decided exactly.  validate_packing and
-tessellate decide theirs on integer forms of the anchors, and validate_packing
-has one overlap search, over a grid of unit cells.  The Sqrt3 predicates
+including boundary contact, is decided exactly.  A PackingInstance holds each
+anchor only in integer form (see _integer_form): tessellate builds the forms,
+parse_packing reads them from the file's rationals, dump_packing writes them
+back, and validate_packing decides on them, with one overlap search over a
+grid of unit cells; none of these makes a Sqrt3.  The Sqrt3 predicates
 (point_inside_delta, triangle_inside_delta, triangles_overlap_exact, hex_gauge,
-hex_gauge_overlap) are the reference route: the tests compare the integer
-verdicts with them over all pairs.
+hex_gauge_overlap) and the hexagon helpers are the reference route, fed by
+PackingInstance.anchors, which reads the points back: the tests compare the
+integer verdicts with them over all pairs, and pack render draws from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .kernel import Sqrt3, _floor, _positive
+from .kernel import Sqrt3, _floor, _positive, _reduced
 
 Point = tuple[Sqrt3, Sqrt3]
+Form = tuple[int, int, int, int, int]  # an anchor's integer form, see _integer_form
 
 HALF = Fraction(1, 2)
 HALF_SQRT3 = Sqrt3(0, HALF)           # sqrt(3)/2
 INV_SQRT3 = Sqrt3(0, Fraction(1, 3))  # 1/sqrt(3) = sqrt(3)/3
+
+# tessellate refuses a side whose density bound (2/3) L^2 exceeds this many
+# anchors: the largest integer side it builds is 1224.
+MAX_PACK_ANCHORS = 10**6
 
 
 def as_point(xy) -> Point:
@@ -172,22 +180,33 @@ def hexagon_inside_delta(instance: "PackingInstance", anchor) -> bool:
 # -- packings ------------------------------------------------------------
 
 
-@dataclass
 class PackingInstance:
-    """Side length L of Delta plus the anchors of the packed triangles."""
+    """Side length L of Delta plus the anchors of the packed triangles.
 
-    side_len: Fraction
-    anchors: list[Point] = field(default_factory=list)
+    Anchors are held only as integer forms whose d is a multiple of 6 times
+    L's denominator (see _integer_form).  PackingInstance(L, anchors)
+    converts points, given as pairs of rationals or Sqrt3s; tessellate and
+    parse_packing build their forms themselves and pass them as forms=.
+    """
 
-    def __post_init__(self):
-        self.side_len = Fraction(self.side_len)
-        if self.side_len <= 0:
+    __slots__ = ("side_len", "forms")
+
+    def __init__(self, side_len, anchors=(), *, forms=None):
+        side = self.side_len = Fraction(side_len)
+        if side <= 0:
             raise ValueError("side length must be positive")
-        self.anchors = [as_point(a) for a in self.anchors]
+        if forms is None:
+            forms = [_integer_form((x.a, x.b, y.a, y.b), side) for x, y in map(as_point, anchors)]
+        self.forms: list[Form] = forms
 
     @property
     def count(self) -> int:
-        return len(self.anchors)
+        return len(self.forms)
+
+    @property
+    def anchors(self) -> list[Point]:
+        """The anchors as Sqrt3 points, built anew on each read."""
+        return [(_reduced(x, x3, d), _reduced(y, y3, d)) for d, x, x3, y, y3 in self.forms]
 
 
 @dataclass(frozen=True)
@@ -213,18 +232,19 @@ class PackingReport:
 # -- integer verdicts -------------------------------------------------------
 #
 # An anchor is held as its integer form (d, X, X3, Y, Y3), the point
-# ((X + X3*sqrt(3))/d, (Y + Y3*sqrt(3))/d); d is 6 times the lcm of the Sqrt3
-# denominators of x and y and of the rationals that meet it (L, and the margin
-# in tessellate), so d/2, L*d, m*d and Y/3 are integers.  One d per anchor stays
-# small, where one lcm over a file grows with every distinct denominator.  Signs
-# and floors come from kernel._positive and kernel._floor, which Sqrt3 uses too:
-# the integer and reference routes are independent in geometry, not arithmetic.
+# ((X + X3*sqrt(3))/d, (Y + Y3*sqrt(3))/d); d is 6 times the lcm of the
+# denominators of the four rational parts and of the rationals that meet it
+# (L, and the margin in tessellate), so d/2, L*d, m*d and Y/3 are integers.
+# One d per anchor stays small, where one lcm over a file grows with every
+# distinct denominator.  Signs and floors come from kernel._positive and
+# kernel._floor, which Sqrt3 uses too: the integer and reference routes are
+# independent in geometry, not arithmetic.
 
 
-def _integer_form(anchor, *rationals: Fraction) -> tuple[int, int, int, int, int]:
-    x, y = as_point(anchor)
-    d = 6 * math.lcm(x.d, y.d, *(f.denominator for f in rationals))
-    return (d, *(n * (d // c.d) for c in (x, y) for n in (c.p, c.q)))
+def _integer_form(parts, *rationals: Fraction) -> Form:
+    """Integer form of the anchor (x + x3*sqrt(3), y + y3*sqrt(3)), parts = (x, x3, y, y3)."""
+    d = 6 * math.lcm(*[f.denominator for f in (*parts, *rationals)])
+    return (d, *[f.numerator * (d // f.denominator) for f in parts])
 
 
 def _inside(d: int, x: int, x3: int, y: int, y3: int, side: Fraction, margin: Fraction) -> bool:
@@ -303,7 +323,7 @@ def validate_packing(instance: PackingInstance) -> PackingReport:
     """
     n = instance.count
     side = instance.side_len
-    forms = [_integer_form(a, side) for a in instance.anchors]
+    forms = instance.forms
 
     first_outside = next(
         (idx for idx, f in enumerate(forms) if not _inside(*f, side, Fraction(0))), None
@@ -339,15 +359,22 @@ def tessellate(side_len, margin=Fraction(0)) -> PackingInstance:
     L from 4 to 200 and for L = 300, 400, 600 and 1000 (margin 0), the loss
     (2/3)L^2 - n(L) lies between (4/3)L and (5/3)L and tends to (5/3)L, so
     eps(L) is about 5/(3L).
+
+    The anchors are held in integer form from the start; their Sqrt3 points
+    exist only when read back through PackingInstance.anchors, the reference
+    route.  A side with (2/3) L^2 > MAX_PACK_ANCHORS raises ValueError.
     """
     side = Fraction(side_len)
     margin = Fraction(margin)
     if side < 4:
         raise ValueError("tessellate requires L >= 4")
+    if Fraction(2, 3) * side * side > MAX_PACK_ANCHORS:
+        raise ValueError(f"side {side} is above the bound: (2/3)L^2 exceeds "
+                         "MAX_PACK_ANCHORS = 10^6 anchors")
     if margin < 0:
         raise ValueError("margin must be nonnegative")
 
-    anchors: list[Point] = []
+    forms: list[Form] = []
     # x = 1 + 3i/4, y = sqrt(3)(2 + m)/4 with m = i (mod 2); generous index
     # ranges, exact clipping.  Every candidate's components have denominators
     # dividing 4, so one integer form denominator d serves them all.
@@ -356,13 +383,12 @@ def tessellate(side_len, margin=Fraction(0)) -> PackingInstance:
     d = 6 * math.lcm(4, side.denominator, margin.denominator)
     k = d // 4
     for m in range(0, m_hi + 1):
-        y = Sqrt3(0, Fraction(2 + m, 4))
-        for i in range(-1, i_hi + 1):
-            if (i - m) % 2:
-                continue
-            if _inside(d, k * (4 + 3 * i), 0, 0, k * (2 + m), side, margin):
-                anchors.append((Sqrt3(1 + Fraction(3 * i, 4)), y))
-    return PackingInstance(side_len=side, anchors=anchors)
+        y3 = k * (2 + m)
+        for i in range(-(m % 2), i_hi + 1, 2):
+            form = (d, k * (4 + 3 * i), 0, 0, y3)
+            if _inside(*form, side, margin):
+                forms.append(form)
+    return PackingInstance(side, forms=forms)
 
 
 # -- file format ----------------------------------------------------------
@@ -376,10 +402,11 @@ def tessellate(side_len, margin=Fraction(0)) -> PackingInstance:
 
 def dump_packing(instance: PackingInstance) -> str:
     lines = [str(instance.side_len)]
-    for x, y in instance.anchors:
-        if x.b != 0:
+    for d, x, x3, y, y3 in instance.forms:
+        if x3:
             raise ValueError("packing file format requires rational x coordinates")
-        lines.append(f"{x.a} {y.a} {y.b}" if y.b else f"{x.a} {y.a}")
+        xy = f"{Fraction(x, d)} {Fraction(y, d)}"
+        lines.append(f"{xy} {Fraction(y3, d)}" if y3 else xy)
     return "\n".join(lines) + "\n"
 
 
@@ -391,16 +418,16 @@ def parse_packing(text: str) -> PackingInstance:
     if not rows:
         raise ValueError("empty packing file")
     lineno, line = rows[0]
-    anchors: list[Point] = []
+    forms: list[Form] = []
     try:  # every error below names the physical line it was read from
         side = Fraction(line)
         for lineno, line in rows[1:]:
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ValueError(f"expected 'x y [y3]', got {line!r}")
-            x = Fraction(parts[0])
-            y = Sqrt3(Fraction(parts[1]), Fraction(parts[2]) if len(parts) == 3 else 0)
-            anchors.append((Sqrt3(x), y))
+            x, y = Fraction(parts[0]), Fraction(parts[1])
+            y3 = Fraction(parts[2]) if len(parts) == 3 else 0
+            forms.append(_integer_form((x, 0, y, y3), side))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"line {lineno}: {exc}") from exc
-    return PackingInstance(side_len=side, anchors=anchors)
+    return PackingInstance(side, forms=forms)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from jmokit import cli
+from jmokit import cli, pinopt, tripack
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +62,36 @@ def test_gcdset_check_element_bound(capsys):
     assert run_cli(capsys, "gcdset", "check", "--elements", "2,1000000000001")[0] == 2
 
 
+def test_gcdset_construct_element_bound(capsys):
+    # 999999999989 is the largest prime below 10^12, 1000000000039 the least above it
+    code, out = run_cli(capsys, "gcdset", "construct", "--k", "1",
+                        "--p", "999999999989", "--q", "2", "--json")
+    assert code == 0 and json.loads(out)["elements"] == [2, 999999999989]
+    assert cli.run(["gcdset", "construct", "--k", "1", "--p", "1000000000039", "--q", "2"]) == 2
+    assert "element 1000000000039 is above 10^12" in capsys.readouterr().err
+
+
+def test_pack_build_side_bound(capsys, monkeypatch):
+    # the real bound admits L = 1224, too large to build here; at a bound
+    # of 24 anchors, L = 6 ((2/3) 6^2 = 24) builds and L = 601/100 exits 2
+    monkeypatch.setattr(tripack, "MAX_PACK_ANCHORS", 24)
+    code, out = run_cli(capsys, "pack", "build", "--side", "6", "--json")
+    assert code == 0 and json.loads(out)["report"]["count"] == 15
+    assert cli.run(["pack", "build", "--side", "601/100"]) == 2
+    assert "side 601/100 is above the bound" in capsys.readouterr().err
+
+
+def test_pins_oracle_radius_bound(capsys, monkeypatch):
+    # radius 1000 takes seconds and hundreds of MB; at a bound of 3 the
+    # radius 3 is scanned and 4 exits 2 before any scan
+    assert pinopt.MAX_ORACLE_RADIUS == 1000
+    monkeypatch.setattr(pinopt, "MAX_ORACLE_RADIUS", 3)
+    code, out = run_cli(capsys, "pins", "oracle", "--doubled-area", "2", "--radius", "3", "--json")
+    assert code == 0 and json.loads(out)["cost"] == 3
+    assert cli.run(["pins", "oracle", "--doubled-area", "2", "--radius", "4"]) == 2
+    assert "radius 4 is above the bound" in capsys.readouterr().err
+
+
 def test_gcdset_construct(capsys):
     code, out = run_cli(capsys, "gcdset", "construct", "--k", "2",
                         "--p", "2,3", "--q", "5,7", "--json")
@@ -97,6 +127,8 @@ ERROR_FILES = {
     "bad_side.txt": "# side, then anchors\nside eight\n",
     "bad_anchor.txt": "10\n1 1\n\n1 y\n",
     "bad_table.txt": "# n value\n1 1\n2 x\n",
+    "side_zero.txt": "0\n1 1\n",
+    "side_negative.txt": "# side\n-3\n",
 }
 
 
@@ -129,6 +161,18 @@ ERROR_FILES = {
                      {"JMOKIT_NODE_BUDGET": "many"}, "JMOKIT_NODE_BUDGET", id="budget-env"),
         pytest.param(("gcdset", "check", "--elements", "1000000000000000003,2"), {},
                      "element 1000000000000000003 is above 10^12", id="check-element-bound"),
+        pytest.param(("gcdset", "construct", "--k", "1", "--p", "1000000000000000003",
+                      "--q", "2"), {},
+                     "element 1000000000000000003 is above 10^12", id="construct-element-bound"),
+        pytest.param(("pack", "validate", "--input", "{tmp}/side_zero.txt"), {},
+                     "bad packing file: side length must be positive", id="packing-side-zero"),
+        pytest.param(("pack", "render", "--input", "{tmp}/side_negative.txt", "--svg",
+                      "{tmp}/never.svg"), {},
+                     "bad packing file: side length must be positive", id="packing-side-negative"),
+        pytest.param(("pack", "build", "--side", "100000"), {},
+                     "side 100000 is above the bound", id="pack-side-huge"),
+        pytest.param(("pins", "oracle", "--doubled-area", "4", "--radius", "1001"), {},
+                     "radius 1001 is above the bound", id="oracle-radius-bound"),
         pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "0"), {},
                      "max_iter must be >= 1, got 0", id="max-iter-zero"),
         pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "-5"), {},

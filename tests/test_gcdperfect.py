@@ -59,6 +59,18 @@ def test_gcdset_rejects_duplicates_and_nonpositive():
         GcdSet([0, 2])
 
 
+def test_gcdset_and_construct_share_the_element_bound():
+    assert GcdSet([2, 10**12]).elements == (2, 10**12)
+    with pytest.raises(ValueError, match=r"element 1000000000001 is above 10\^12"):
+        GcdSet([2, 10**12 + 1])
+    # construct refuses before testing any prime, and stops doubling once an
+    # element leaves [1, 10^12]: 40 pairs would give 2^40 elements
+    with pytest.raises(ValueError, match=r"is above 10\^12"):
+        construct(40, list(range(2, 42)), list(range(100, 140)))
+    with pytest.raises(ValueError, match="positive"):
+        construct(41, [-v for v in range(2, 43)], list(range(100, 141)))
+
+
 def test_construct_k0():
     assert construct(0, [], []).elements == (1,)
 

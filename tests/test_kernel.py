@@ -137,7 +137,6 @@ def test_sqrt3_arithmetic():
     prod = x * Sqrt3(x.a, -x.b)
     assert prod.b == 0
     assert prod.a == x.a**2 - 3 * x.b**2
-    assert (x / y) * y == x
     assert Sqrt3(0, 1) * Sqrt3(0, 1) == 3
 
 
@@ -183,11 +182,6 @@ def test_sqrt3_floor():
         assert v < n + 1
 
 
-def test_sqrt3_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        Sqrt3(1) / Sqrt3(0)
-
-
 def test_sqrt3_equality_with_non_numbers():
     assert Sqrt3(1) == 1 and Sqrt3(1) == Fraction(1) and Sqrt3(1) == Sqrt3(1)
     assert Sqrt3(1) != "1"
@@ -229,7 +223,7 @@ def _oracle_cases():
     rng = random.Random(5)
     for _ in range(3000):
         x = Sqrt3(Fraction(rng.randint(-24, 24), 8), Fraction(rng.randint(-12, 12), 8))
-        d, u, v, _, _ = _integer_form((x, Sqrt3(0)))
+        d, u, v, _, _ = _integer_form((x.a, x.b, 0, 0))
         cases.append((u, v, d))
     return cases
 

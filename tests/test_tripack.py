@@ -5,11 +5,13 @@ from itertools import takewhile
 
 import pytest
 
+from jmokit import kernel, tripack
 from jmokit.kernel import SQRT3, Sqrt3
 from jmokit.tripack import (
     _inside,
     _integer_form,
     PackingInstance,
+    as_point,
     dump_packing,
     hex_gauge,
     hex_gauge_overlap,
@@ -305,7 +307,9 @@ def test_integer_containment_on_inset_edges():
             for eps in (F(-1, 1000), F(0), F(1, 1000)):
                 for a in ((ax + eps, ay), (ax, ay + eps)):
                     expected = triangle_inside_delta(a, side, margin)
-                    assert _inside(*_integer_form(a, side, margin), side, margin) == expected
+                    x, y = as_point(a)
+                    form = _integer_form((x.a, x.b, y.a, y.b), side, margin)
+                    assert _inside(*form, side, margin) == expected
                     on_edge += expected and eps == 0
     assert on_edge == 18
 
@@ -393,6 +397,13 @@ def test_tessellate_rejects_small_sides():
         tessellate(F(3))
 
 
+def test_tessellate_refuses_sides_above_the_density_bound():
+    # (2/3) L^2 <= MAX_PACK_ANCHORS = 10^6 allows L = 1224, not 1225
+    assert F(2, 3) * 1224**2 <= tripack.MAX_PACK_ANCHORS < F(2, 3) * 1225**2
+    with pytest.raises(ValueError, match="MAX_PACK_ANCHORS"):
+        tessellate(F(1225))
+
+
 def test_tessellate_rejects_negative_margin():
     with pytest.raises(ValueError):
         tessellate(F(8), margin=F(-1))
@@ -453,6 +464,48 @@ def test_packing_roundtrip():
     back = parse_packing(text)
     assert back.side_len == instance.side_len
     assert back.anchors == instance.anchors
+
+
+def test_dump_of_parse_is_canonical():
+    # decimal and exponent fields, odd denominators, negative fields and y3
+    # parts; a zero y3 is dropped, and the canonical text reads back to itself
+    text = ("# hand-written\n 10.0 \n\n3 1/5 3/7\n0.5 -0.25\n9/2 0 5/9\n"
+            "-3/7 -1/3 -7/9  # below and left of Delta\n17/3 2/6 0\n1.5e1 0.5 0.125\n")
+    canonical = "10\n3 1/5 3/7\n1/2 -1/4\n9/2 0 5/9\n-3/7 -1/3 -7/9\n17/3 1/3\n15 1/2 1/8\n"
+    assert dump_packing(parse_packing(text)) == canonical
+    assert dump_packing(parse_packing(canonical)) == canonical
+    assert parse_packing(text).anchors[4] == (Sqrt3(F(17, 3)), Sqrt3(F(1, 3)))
+
+
+def test_dump_refuses_irrational_x():
+    instance = PackingInstance(side_len=F(4), anchors=[(Sqrt3(2, F(1, 5)), SQRT3)])
+    with pytest.raises(ValueError, match="rational x"):
+        dump_packing(instance)
+
+
+def test_file_route_makes_no_sqrt3(monkeypatch):
+    # tessellate, dump_packing, parse_packing and validate_packing work on the
+    # integer forms alone: building any Sqrt3 (constructor or arithmetic) raises
+    def refuse(*args):
+        raise AssertionError("a Sqrt3 was built")
+
+    hand = "25/3\n3 1/5 3/7\n9/2 0 5/9\n17/3 -1/3 7/9\n9/2 1/5 5/9\n"
+    built = tessellate(F(29, 2), F(1, 2))
+    expected_text = dump_packing(built)
+    expected = validate_packing(built)
+    assert expected.valid and expected.count == len(built.anchors) == 70
+    hand_verdicts = _reference_verdicts(parse_packing(hand))
+    assert hand_verdicts == (None, (1, 3))
+    monkeypatch.setattr(Sqrt3, "__init__", refuse)
+    monkeypatch.setattr(kernel, "_reduced", refuse)
+    monkeypatch.setattr(tripack, "_reduced", refuse)
+    with pytest.raises(AssertionError):
+        SQRT3 + 1
+    text = dump_packing(tessellate(F(29, 2), F(1, 2)))
+    assert text == expected_text
+    assert validate_packing(parse_packing(text)) == expected
+    assert dump_packing(parse_packing(hand)) == hand
+    assert _verdicts(parse_packing(hand)) == hand_verdicts
 
 
 def test_parse_packing_rejects_garbage():
