@@ -250,12 +250,9 @@ def _cmd_pack_render(args) -> tuple[int, dict, list[str]]:
     side = float(instance.side_len)
     scene.polygon([(0.0, 0.0), (side, 0.0), (side / 2, side * 3**0.5 / 2)],
                   stroke="#333333", width=2.0)
-    for anchor in instance.anchors:
-        tri = [(float(x), float(y)) for x, y in tripack.triangle_vertices(anchor)]
-        scene.polygon(tri, stroke="#884400", fill="#ddaa77", width=1.0, opacity=0.6)
-        hexagon = tripack.hexagon_vertices(anchor, Fraction(1, 2))
-        hex_pts = [(float(x), float(y)) for x, y in hexagon]
-        scene.polygon(hex_pts, stroke="#118811", width=1.0)
+    for triangle, hexagon in tripack.float_vertices(instance.forms):
+        scene.polygon(triangle, stroke="#884400", fill="#ddaa77", width=1.0, opacity=0.6)
+        scene.polygon(hexagon, stroke="#118811", width=1.0)
     _write(args.svg, scene.to_svg())
     human = [f"wrote {args.svg} ({instance.count} triangle(s) with green hexagons)"]
     return 0, {"svg": args.svg, "count": instance.count}, human
@@ -379,6 +376,9 @@ def _cmd_funceq_trace(args) -> tuple[int, dict, list[str]]:
 def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
+    if args.count > rectconcur.MAX_BATCH_COUNT:
+        raise UsageError(f"--count must be <= {rectconcur.MAX_BATCH_COUNT} "
+                         f"(each row holds about 2 KB), got {args.count}")
     rng = random.Random(args.seed)
     rows = []
     all_pass = True

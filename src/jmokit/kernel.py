@@ -6,7 +6,8 @@ coordinates, prime factorizations, and the handful of integer formulas
 lean on.  Verdict-producing geometry never touches floating point; the one
 irrational the toolkit needs, sqrt(3), is carried symbolically by Sqrt3 in
 integer form.  _positive and _floor, the one sign test and the one floor of
-u + v*sqrt(3), serve Sqrt3 and the integer verdicts of tripack alike.
+u + v*sqrt(3), serve Sqrt3 and the integer verdicts of tripack alike; _float,
+the one float of (u + v*sqrt(3))/d, serves Sqrt3 and tripack's drawing.
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Prime factorization by trial division up to sqrt(n).
 
-    Inputs are desk-scale (<= 1e9 or so); no heavy factoring machinery.
+    Callers keep n at most gcdperfect.MAX_CHECK_ELEMENT = 10^12 (GcdSet
+    refuses larger elements), so every trial divisor stays below 10^6: about
+    0.25 s for a prime near the bound.  No heavy factoring machinery.
     Raises ValueError for n < 1.
     """
     if n < 1:
@@ -122,6 +125,15 @@ def _floor(u: int, v: int, d: int) -> int:
     """floor((u + v*sqrt(3)) / d) for d > 0."""
     r = math.isqrt(3 * v * v)  # floor(|v|*sqrt(3)), an exact root only for v = 0
     return (u + r if v >= 0 else u - r - 1) // d
+
+
+def _float(u: int, v: int, d: int) -> float:
+    """float((u + v*sqrt(3)) / d) for d > 0.
+
+    int / int rounds correctly, as Fraction.__float__ does, so equal
+    rationals u/d give equal floats whatever the denominator.
+    """
+    return u / d + v / d * math.sqrt(3.0)
 
 
 class Sqrt3:
@@ -210,8 +222,7 @@ class Sqrt3:
     # -- conversion ----------------------------------------------------
 
     def __float__(self) -> float:
-        # int / int rounds correctly, as Fraction.__float__ does
-        return self.p / self.d + self.q / self.d * math.sqrt(3.0)
+        return _float(self.p, self.q, self.d)
 
     def floor(self) -> int:
         return _floor(self.p, self.q, self.d)

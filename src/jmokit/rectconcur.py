@@ -28,6 +28,10 @@ from dataclasses import dataclass
 Pt = tuple[float, float]
 
 DEFAULT_REL_TOL = 1e-9
+# rect batch refuses larger counts: each certified row costs about 40-70 us
+# and 2 KB until the envelope is printed, so a batch at the bound takes
+# seconds and about 200 MB.
+MAX_BATCH_COUNT = 10**5
 
 
 class InfeasibleHeights(ValueError):

@@ -22,12 +22,14 @@ All coordinates live in Q(sqrt(3)) so every containment and overlap verdict,
 including boundary contact, is decided exactly.  A PackingInstance holds each
 anchor only in integer form (see _integer_form): tessellate builds the forms,
 parse_packing reads them from the file's rationals, dump_packing writes them
-back, and validate_packing decides on them, with one overlap search over a
-grid of unit cells; none of these makes a Sqrt3.  The Sqrt3 predicates
-(point_inside_delta, triangle_inside_delta, triangles_overlap_exact, hex_gauge,
-hex_gauge_overlap) and the hexagon helpers are the reference route, fed by
-PackingInstance.anchors, which reads the points back: the tests compare the
-integer verdicts with them over all pairs, and pack render draws from them.
+back, validate_packing decides on them, with one overlap search over a
+grid of unit cells, and float_vertices gives pack render its floats; none of
+these makes a Sqrt3.  The Sqrt3 predicates (point_inside_delta,
+triangle_inside_delta, triangles_overlap_exact, hex_gauge, hex_gauge_overlap)
+and the hexagon helpers are the reference route, fed by
+PackingInstance.anchors, which reads the points back: only the tests use it,
+comparing the integer verdicts with it over all pairs and the drawn floats
+with its points.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .kernel import Sqrt3, _floor, _positive, _reduced
+from .kernel import Sqrt3, _float, _floor, _positive, _reduced
 
 Point = tuple[Sqrt3, Sqrt3]
+FloatPoint = tuple[float, float]
 Form = tuple[int, int, int, int, int]  # an anchor's integer form, see _integer_form
 
 HALF = Fraction(1, 2)
@@ -205,7 +208,10 @@ class PackingInstance:
 
     @property
     def anchors(self) -> list[Point]:
-        """The anchors as Sqrt3 points, built anew on each read."""
+        """The anchors as Sqrt3 points, built anew on each read.
+
+        Only the reference route and the tests read them; no subcommand does.
+        """
         return [(_reduced(x, x3, d), _reduced(y, y3, d)) for d, x, x3, y, y3 in self.forms]
 
 
@@ -342,6 +348,28 @@ def validate_packing(instance: PackingInstance) -> PackingReport:
         bound_is_warning=side < 2,
         density=n / float(side) ** 2,
     )
+
+
+# -- drawing --------------------------------------------------------------
+
+
+def float_vertices(forms: list[Form]) -> Iterator[tuple[list[FloatPoint], list[FloatPoint]]]:
+    """For each anchor form, float vertices of its triangle and its side-1/2 hexagon.
+
+    The points are triangle_vertices and hexagon_vertices(anchor, 1/2), in
+    the same order.  Over 4d each vertex is ((u + v*sqrt(3))/4d, ...) with
+    integer u and v: the x parts are 4X + k*d, 4X3 for k in -2..2 and the y
+    parts 4Y, 4Y3 + k*d for k in -2..1.  kernel._float rounds each equal
+    rational to the same float, so the points equal float() of the Sqrt3
+    reference points without building one.
+    """
+    for d, x, x3, y, y3 in forms:
+        e, x, x3, y, y3 = 4 * d, 4 * x, 4 * x3, 4 * y, 4 * y3
+        left, left_in, mid, right_in, right = (_float(x + k * d, x3, e) for k in (-2, -1, 0, 1, 2))
+        bottom, low, top, high = (_float(y, y3 + k * d, e) for k in (-2, -1, 0, 1))
+        yield ([(left, top), (right, top), (mid, bottom)],
+               [(right, top), (right_in, high), (left_in, high),
+                (left, top), (left_in, low), (right_in, low)])
 
 
 # -- tessellation ---------------------------------------------------------

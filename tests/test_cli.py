@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from jmokit import cli, pinopt, tripack
+from jmokit import cli, pinopt, rectconcur, tripack
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +90,17 @@ def test_pins_oracle_radius_bound(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["cost"] == 3
     assert cli.run(["pins", "oracle", "--doubled-area", "2", "--radius", "4"]) == 2
     assert "radius 4 is above the bound" in capsys.readouterr().err
+
+
+def test_rect_batch_count_bound(capsys, monkeypatch):
+    # 10^5 rows take seconds and about 200 MB; at a bound of 3 the count 3 is
+    # certified and 4 exits 2 before any configuration is built
+    assert rectconcur.MAX_BATCH_COUNT == 10**5
+    monkeypatch.setattr(rectconcur, "MAX_BATCH_COUNT", 3)
+    code, out = run_cli(capsys, "rect", "batch", "--count", "3", "--json")
+    assert code == 0 and len(json.loads(out)["rows"]) == 3
+    assert cli.run(["rect", "batch", "--count", "4"]) == 2
+    assert "--count must be <= 3" in capsys.readouterr().err
 
 
 def test_gcdset_construct(capsys):
@@ -191,6 +202,8 @@ ERROR_FILES = {
                      "argument --tol", id="tol-inf"),
         pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "nan"), {},
                      "argument --tol", id="tol-nan"),
+        pytest.param(("rect", "batch", "--count", "100001"), {},
+                     "--count must be <= 100000", id="rect-count-bound"),
         pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "inf"), {},
                      "argument --rel-tol", id="rel-tol-inf"),
         pytest.param(("rect", "batch", "--count", "3", "--perturb", "nan"), {},

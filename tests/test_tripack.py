@@ -5,7 +5,7 @@ from itertools import takewhile
 
 import pytest
 
-from jmokit import kernel, tripack
+from jmokit import cli, kernel, tripack
 from jmokit.kernel import SQRT3, Sqrt3
 from jmokit.tripack import (
     _inside,
@@ -13,6 +13,7 @@ from jmokit.tripack import (
     PackingInstance,
     as_point,
     dump_packing,
+    float_vertices,
     hex_gauge,
     hex_gauge_overlap,
     hexagon_inside_delta,
@@ -483,11 +484,19 @@ def test_dump_refuses_irrational_x():
         dump_packing(instance)
 
 
-def test_file_route_makes_no_sqrt3(monkeypatch):
-    # tessellate, dump_packing, parse_packing and validate_packing work on the
-    # integer forms alone: building any Sqrt3 (constructor or arithmetic) raises
+def test_file_route_makes_no_sqrt3(monkeypatch, capsys, tmp_path):
+    # tessellate, dump_packing, parse_packing, validate_packing and pack render
+    # work on the integer forms alone: building any Sqrt3 (constructor or
+    # arithmetic) raises
     def refuse(*args):
         raise AssertionError("a Sqrt3 was built")
+
+    def render(text):
+        packing, svg = tmp_path / "p.txt", tmp_path / "p.svg"
+        packing.write_text(text)
+        assert cli.run(["pack", "render", "--input", str(packing), "--svg", str(svg)]) == 0
+        capsys.readouterr()
+        return svg.read_bytes()
 
     hand = "25/3\n3 1/5 3/7\n9/2 0 5/9\n17/3 -1/3 7/9\n9/2 1/5 5/9\n"
     built = tessellate(F(29, 2), F(1, 2))
@@ -496,6 +505,7 @@ def test_file_route_makes_no_sqrt3(monkeypatch):
     assert expected.valid and expected.count == len(built.anchors) == 70
     hand_verdicts = _reference_verdicts(parse_packing(hand))
     assert hand_verdicts == (None, (1, 3))
+    expected_svgs = [render(hand), render(expected_text)]
     monkeypatch.setattr(Sqrt3, "__init__", refuse)
     monkeypatch.setattr(kernel, "_reduced", refuse)
     monkeypatch.setattr(tripack, "_reduced", refuse)
@@ -506,6 +516,29 @@ def test_file_route_makes_no_sqrt3(monkeypatch):
     assert validate_packing(parse_packing(text)) == expected
     assert dump_packing(parse_packing(hand)) == hand
     assert _verdicts(parse_packing(hand)) == hand_verdicts
+    assert [render(hand), render(text)] == expected_svgs
+
+
+def test_float_vertices_match_reference():
+    # each drawn point equals float() of the Sqrt3 reference point, for
+    # irrational x, negative fields and denominators up to 2^40
+    rng = random.Random(2021)
+    denominators = (1, 3, 97, 10**6 + 3, 2**40)
+
+    def rational():
+        d = rng.choice(denominators)
+        return F(rng.randint(-20 * d, 20 * d), d)
+
+    def floats(points):
+        return [(float(x), float(y)) for x, y in points]
+
+    for _ in range(100):
+        anchors = [(Sqrt3(rational(), rational()), Sqrt3(rational(), rational()))
+                   for _ in range(rng.randint(1, 6))]
+        instance = PackingInstance(abs(rational()) + F(1, rng.choice(denominators)), anchors)
+        reference = [(floats(triangle_vertices(a)), floats(hexagon_vertices(a, F(1, 2))))
+                     for a in anchors]
+        assert list(float_vertices(instance.forms)) == reference
 
 
 def test_parse_packing_rejects_garbage():
