@@ -53,7 +53,11 @@ def _emit(env: dict, args: argparse.Namespace, human: list[str], started: float)
     if args.timings:
         env["timings"] = {"wall_s": round(time.perf_counter() - started, 6)}
     if args.json:
-        print(json.dumps(env, sort_keys=True, indent=2))
+        try:
+            text = json.dumps(env, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:  # NaN and infinities are not JSON
+            raise UsageError(f"the report holds a non-finite number: {exc}") from None
+        print(text)
     else:
         for line in human:
             print(line)
@@ -308,6 +312,9 @@ def _cmd_cyclic_verify(args) -> tuple[int, dict, list[str]]:
 
     v = _parse_file(cyclic.parse_entries, args.input, "entries")
     res = cyclic.residuals(v)
+    if not math.isfinite(res.max_abs):
+        raise UsageError(f"entries in {args.input} overflow the residuals to a "
+                         "non-finite number (a value too large or too near 0)")
     env_fields = {"n": v.n, "residual_max_abs": res.max_abs}
     ok = res.max_abs <= args.tol
     human = [f"n = {v.n}: residual max |.| = {res.max_abs:.3e} "
@@ -379,23 +386,27 @@ def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
     if args.count > rectconcur.MAX_BATCH_COUNT:
         raise UsageError(f"--count must be <= {rectconcur.MAX_BATCH_COUNT} "
                          f"(each row holds about 2 KB), got {args.count}")
+    if args.rel_tol <= 0:
+        raise UsageError(f"--rel-tol must be > 0, got {args.rel_tol}")
     rng = random.Random(args.seed)
     rows = []
     all_pass = True
     threshold = args.rel_tol
     for index in range(args.count):
-        config = rectconcur.random_config(rng)
-        if args.perturb != 1.0:
-            config = rectconcur.build_config_with_heights(
-                config.triangle, config.h_a, config.h_b, config.h_c * args.perturb
-            )
+        config = rectconcur.random_config(rng, args.perturb)
         report = rectconcur.certify_concurrency(config)
         passed = report.passes(threshold)
+        scale = report.scale
+        line_rel = report.line_defect / scale
+        circles_rel = [r / scale for r in report.circle_residuals]
+        if not (math.isfinite(line_rel) and all(map(math.isfinite, circles_rel))):
+            raise UsageError(f"--perturb {args.perturb} is too large: the certificate "
+                             f"of configuration {index} is not a finite number")
         all_pass = all_pass and passed
         rows.append({
             "index": index,
-            "line_defect_rel": report.line_defect / report.scale,
-            "circle_residuals_rel": [r / report.scale for r in report.circle_residuals],
+            "line_defect_rel": line_rel,
+            "circle_residuals_rel": circles_rel,
             "passes": passed,
         })
     env_fields = {
@@ -558,11 +569,10 @@ def run(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code, fields, human = args.handler(args)
+        _emit(_envelope(args, _echo_inputs(args), **fields), args, human, started)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    env = _envelope(args, _echo_inputs(args), **fields)
-    _emit(env, args, human, started)
     return code
 
 

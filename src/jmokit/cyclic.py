@@ -110,12 +110,15 @@ def canonical_solution(n: int) -> CycleVector:
 
 
 def residuals(v: CycleVector) -> ResidualReport:
+    """Both residual families.  An entry near the float maximum, or so near 0
+    that its reciprocal overflows, makes max_abs inf, without a warning."""
     odd = v.odd()
     even = v.even()
     prev_even = np.roll(even, 1)      # a_{2i-2} alongside a_{2i-1}
-    odd_res = odd - (1.0 / prev_even + 1.0 / even)
     next_odd = np.roll(odd, -1)       # a_{2i+1} alongside a_{2i}
-    even_res = even - (odd + next_odd)
+    with np.errstate(over="ignore"):
+        odd_res = odd - (1.0 / prev_even + 1.0 / even)
+        even_res = even - (odd + next_odd)
     return ResidualReport(
         odd_residuals=tuple(odd_res.tolist()),
         even_residuals=tuple(even_res.tolist()),

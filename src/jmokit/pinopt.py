@@ -112,7 +112,8 @@ def oracle_min_moves(doubled_area: int, radius: int) -> int:
     if doubled_area < 1:
         raise ValueError("doubled_area must be >= 1")
     if radius > MAX_ORACLE_RADIUS:
-        raise ValueError(f"radius {radius} is above the bound MAX_ORACLE_RADIUS = 1000")
+        raise ValueError(f"radius {radius} is above the bound "
+                         f"MAX_ORACLE_RADIUS = {MAX_ORACLE_RADIUS}")
     if 4 * doubled_area > (2 * radius) ** 2:
         raise ValueError(
             f"radius {radius} too small for doubled area {doubled_area}: "

@@ -398,7 +398,7 @@ def tessellate(side_len, margin=Fraction(0)) -> PackingInstance:
         raise ValueError("tessellate requires L >= 4")
     if Fraction(2, 3) * side * side > MAX_PACK_ANCHORS:
         raise ValueError(f"side {side} is above the bound: (2/3)L^2 exceeds "
-                         "MAX_PACK_ANCHORS = 10^6 anchors")
+                         f"MAX_PACK_ANCHORS = {MAX_PACK_ANCHORS} anchors")
     if margin < 0:
         raise ValueError("margin must be nonnegative")
 

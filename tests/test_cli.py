@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -78,7 +79,9 @@ def test_pack_build_side_bound(capsys, monkeypatch):
     code, out = run_cli(capsys, "pack", "build", "--side", "6", "--json")
     assert code == 0 and json.loads(out)["report"]["count"] == 15
     assert cli.run(["pack", "build", "--side", "601/100"]) == 2
-    assert "side 601/100 is above the bound" in capsys.readouterr().err
+    # the message quotes the bound in force, not a literal
+    assert ("side 601/100 is above the bound: (2/3)L^2 exceeds MAX_PACK_ANCHORS = 24 anchors"
+            in capsys.readouterr().err)
 
 
 def test_pins_oracle_radius_bound(capsys, monkeypatch):
@@ -89,7 +92,7 @@ def test_pins_oracle_radius_bound(capsys, monkeypatch):
     code, out = run_cli(capsys, "pins", "oracle", "--doubled-area", "2", "--radius", "3", "--json")
     assert code == 0 and json.loads(out)["cost"] == 3
     assert cli.run(["pins", "oracle", "--doubled-area", "2", "--radius", "4"]) == 2
-    assert "radius 4 is above the bound" in capsys.readouterr().err
+    assert "radius 4 is above the bound MAX_ORACLE_RADIUS = 3\n" in capsys.readouterr().err
 
 
 def test_rect_batch_count_bound(capsys, monkeypatch):
@@ -140,6 +143,9 @@ ERROR_FILES = {
     "bad_table.txt": "# n value\n1 1\n2 x\n",
     "side_zero.txt": "0\n1 1\n",
     "side_negative.txt": "# side\n-3\n",
+    # finite entries whose residuals overflow, above and below
+    "huge_entries.txt": "1.7e308\n" * 8,
+    "tiny_entries.txt": "1e-320\n" * 8,
 }
 
 
@@ -210,6 +216,18 @@ ERROR_FILES = {
                      "argument --perturb", id="perturb-nan"),
         pytest.param(("rect", "batch", "--count", "3", "--perturb", "inf"), {},
                      "argument --perturb", id="perturb-inf"),
+        pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "0"), {},
+                     "--rel-tol must be > 0, got 0.0", id="rel-tol-zero"),
+        pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "-1"), {},
+                     "--rel-tol must be > 0, got -1.0", id="rel-tol-negative"),
+        pytest.param(("rect", "batch", "--count", "2", "--perturb", "1e200", "--json"), {},
+                     "--perturb 1e+200 is too large", id="perturb-huge-json"),
+        pytest.param(("rect", "batch", "--count", "2", "--perturb", "1e200"), {},
+                     "--perturb 1e+200 is too large", id="perturb-huge"),
+        pytest.param(("cyclic", "verify", "--input", "{tmp}/huge_entries.txt", "--json"), {},
+                     "huge_entries.txt overflow the residuals", id="entries-huge"),
+        pytest.param(("cyclic", "verify", "--input", "{tmp}/tiny_entries.txt"), {},
+                     "tiny_entries.txt overflow the residuals", id="entries-tiny"),
     ],
 )
 def test_usage_errors_exit_two(capsys, monkeypatch, tmp_path, argv, env, message):
@@ -226,6 +244,17 @@ def test_usage_errors_exit_two(capsys, monkeypatch, tmp_path, argv, env, message
     assert (code, out) == (2, "")
     assert "Traceback" not in err
     assert message in err
+
+
+def test_non_finite_envelope_exits_two(capsys, monkeypatch):
+    # NaN and infinities are not JSON: a value that no handler check catches
+    # is refused when the envelope is dumped, with nothing printed
+    monkeypatch.setattr(pinopt, "oracle_min_moves", lambda doubled_area, radius: math.nan)
+    code, out, err = call_outputs(capsys, ("pins", "oracle", "--doubled-area", "2",
+                                           "--radius", "3", "--json"))
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert "error: the report holds a non-finite number" in err
 
 
 def test_pack_build_validate_roundtrip(capsys, tmp_path):
@@ -288,6 +317,47 @@ def test_pack_outputs_match_golden_bytes(capsys, tmp_path, monkeypatch):
     digests |= {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
                 for name in ("build.svg", "hand.svg")}
     assert digests == PACK_GOLDEN_SHA256
+
+
+# SHA-256 of rect outputs, recorded before the float kernel became straight-line
+# arithmetic; keyed by (count, seed, perturb) and then by output kind.  Only an
+# announced envelope or SVG change (a version bump included) may re-record them.
+RECT_GOLDEN_SHA256 = {
+    ("1", "0", "1.0"): {
+        "human": "14170b8599cb00e0fd4590d4a57acd1eb7d36a792e07291cda354cfcc1384512",
+        "json": "9f8869236b094921157345b706e00fa75a35acd443d48a36b59d6ff6fcb5c514"},
+    ("40", "7", "1.0"): {
+        "human": "d66fdc5e7f5ef605388f82eb39480bf775afe3b08ec17de0da883ac5a02e877c",
+        "json": "e17b0a7b64738efed2489ff18c08cb8744c4252297c5d55c5ea904fa99be8638"},
+    ("40", "7", "0.9"): {
+        "human": "b4a39e4e7e3b352927efaf4e8a78bfdf8bd4b09ee55674635163df2a6b8e4951",
+        "json": "7573a659c473d63f75c015451260d8870b0d7595f0dc8f6c1f27013251d65483"},
+    ("25", "99", "0.9"): {
+        "human": "2f3da594a58918e50a14fd18d8ea4c95c2c9c50293a2b63b37de1338f0b60378",
+        "json": "355befcf824ba742b0537503fbfb9096868cffd3532d95fda6647f690d18f81a"},
+    ("60", "2021", "1.25"): {
+        "human": "3c890490140795c7cd4b9fc3101128db228e86f7dde7b1440c779f59a0540688",
+        "json": "21c55bd402a84ec91450e0e4518c445bc7cd7447577a875f94da13ee6e458c32"},
+    ("300", "123456", "1.25"): {
+        "human": "4ff72ded54d84104f7528967484c36fda8bf4ccc544930b775629bac8a535b39",
+        "json": "7f4ed93a0799f9facbd03beffd6fdc05da4b76d59c0750248d69aeb7ef2613ab"},
+}
+RECT_RENDER_GOLDEN_SHA256 = "da65e5b72b29db658a28141f4fab83f77ef6074d6d384d265236484c26f89875"
+
+
+def test_rect_outputs_match_golden_bytes(capsys, tmp_path):
+    digests = {}
+    for count, seed, perturb in RECT_GOLDEN_SHA256:
+        batch = ("rect", "batch", "--count", count, "--seed", seed, "--perturb", perturb)
+        outputs = {"human": run_cli(capsys, *batch), "json": run_cli(capsys, *batch, "--json")}
+        for code, _ in outputs.values():
+            assert code == (0 if perturb == "1.0" else 1)
+        digests[count, seed, perturb] = {
+            kind: hashlib.sha256(out.encode()).hexdigest() for kind, (_, out) in outputs.items()}
+    assert digests == RECT_GOLDEN_SHA256
+    svg = tmp_path / "rect.svg"
+    assert run_cli(capsys, "rect", "render", "--seed", "3", "--svg", str(svg))[0] == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == RECT_RENDER_GOLDEN_SHA256
 
 
 def test_cyclic_solve_and_verify_roundtrip(capsys, tmp_path):

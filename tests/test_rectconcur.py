@@ -160,3 +160,92 @@ def test_relative_perturbation_breaks_concurrency():
         )
         report = certify_concurrency(bad)
         assert report.line_defect > 1e-4 * report.scale
+
+
+# A reference route on tuple helpers, drawing with rng.uniform: the kernel's
+# straight-line arithmetic must give the same bits and leave the same state.
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _add(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def _scale(p, s):
+    return (p[0] * s, p[1] * s)
+
+
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1]
+
+
+def _cross(p, q):
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _dist(p, q):
+    return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def _reference_normal(base_from, base_to, opposite):
+    d = _sub(base_to, base_from)
+    length = math.hypot(*d)
+    n = (-d[1] / length, d[0] / length)
+    if _dot(n, _sub(opposite, base_from)) > 0:
+        n = (-n[0], -n[1])
+    return n
+
+
+def _reference_foot(point, line_a, line_b):
+    d = _sub(line_b, line_a)
+    return _add(line_a, _scale(d, _dot(_sub(point, line_a), d) / _dot(d, d)))
+
+
+def _reference_line_distance(point, line_a, line_b):
+    d = _sub(line_b, line_a)
+    return abs(_cross(d, _sub(point, line_a))) / math.hypot(*d)
+
+
+def _reference_row(rng, perturb):
+    """(p_point, line_defect, circle_residuals, scale) of one drawn row."""
+    while True:
+        a, b, c = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(3)]
+        sa = _dot(_sub(c, b), _sub(c, b))
+        sb = _dot(_sub(a, c), _sub(a, c))
+        sc = _dot(_sub(b, a), _sub(b, a))
+        if min(sa, sb, sc) < 1e-3:
+            continue
+        if sa < 0.98 * (sb + sc) and sb < 0.98 * (sc + sa) and sc < 0.98 * (sa + sb):
+            break
+    alpha = rng.uniform(0.35 * math.pi, 0.45 * math.pi)
+    beta = rng.uniform(0.35 * math.pi, 0.45 * math.pi)
+    h_a = _dist(b, c) / math.tan(alpha)
+    h_b = _dist(c, a) / math.tan(beta)
+    residual = math.pi - math.atan2(_dist(b, c), h_a) - math.atan2(_dist(c, a), h_b)
+    h_c = _dist(a, b) / math.tan(residual) * perturb
+    n_bc, n_ca, n_ab = (_reference_normal(b, c, a), _reference_normal(c, a, b),
+                        _reference_normal(a, b, c))
+    c1, b2 = _add(c, _scale(n_bc, h_a)), _add(b, _scale(n_bc, h_a))
+    a1, c2 = _add(a, _scale(n_ca, h_b)), _add(c, _scale(n_ca, h_b))
+    b1, a2 = _add(b, _scale(n_ab, h_c)), _add(a, _scale(n_ab, h_c))
+    p = _reference_foot(a, b1, c2)
+    defect = max(_reference_line_distance(p, c1, a2), _reference_line_distance(p, a1, b2))
+    circles = [(((x[0] + y[0]) / 2, (x[1] + y[1]) / 2), _dist(x, y) / 2)
+               for x, y in ((b, c1), (c, a1), (a, b1))]
+    residuals = tuple(abs(_dist(p, center) - radius) for center, radius in circles)
+    return p, defect, residuals, max(_dist(b, c), _dist(c, a), _dist(a, b))
+
+
+@pytest.mark.parametrize("perturb", [1.0, 0.9, 1.25, 1.0001, 2.0])
+def test_kernel_matches_tuple_reference_bit_for_bit(perturb):
+    for seed in range(20):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            report = certify_concurrency(random_config(rng, perturb))
+            got = (report.p_point, report.line_defect, report.circle_residuals, report.scale)
+            # repr tells every double apart, -0.0 from 0.0 included
+            assert repr(got) == repr(_reference_row(reference_rng, perturb))
+        assert rng.getstate() == reference_rng.getstate()
