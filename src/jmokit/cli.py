@@ -15,9 +15,10 @@ and run() maps it to exit 2 in one place.
 
 The argparse tree is built once per process and shared by every run() call;
 parse_args gives each call a fresh Namespace, so no state carries over.  The
-numpy-backed layers (cyclic, and scan behind pinopt.oracle_min_moves) are
-imported by the handlers that use them, so the other subcommands never load
-numpy; funceq is imported the same way, so no other subcommand pays for it.
+one numpy-backed layer, scan behind pinopt.oracle_min_moves, is imported only
+when pins oracle runs, so no other subcommand loads numpy; cyclic and funceq
+are imported by their handlers the same way, so no other subcommand pays for
+them.
 """
 
 from __future__ import annotations
@@ -278,12 +279,25 @@ def _cyclic_report_fields(v: cyclic.CycleVector, tol: float) -> dict:
     return fields
 
 
+def _entries_file(path: str) -> tuple[cyclic.CycleVector, cyclic.ResidualReport]:
+    """An entries file and its residuals; a malformed file, or one whose
+    residuals overflow, exits 2 naming the file."""
+    from . import cyclic
+
+    v = _parse_file(cyclic.parse_entries, path, "entries")
+    res = cyclic.residuals(v)
+    if not math.isfinite(res.max_abs):
+        raise UsageError(f"entries in {path} overflow the residuals to a "
+                         "non-finite number (a value too large or too near 0)")
+    return v, res
+
+
 def _cmd_cyclic_solve(args) -> tuple[int, dict, list[str]]:
     from . import cyclic
 
     init = None
     if args.init:
-        init = _parse_file(cyclic.parse_entries, args.init, "entries")
+        init, _ = _entries_file(args.init)
     elif args.seed is not None:
         init = args.seed
     solution, record = cyclic.solve(args.n, init, tol=args.tol, max_iter=args.max_iter)
@@ -308,13 +322,7 @@ def _cmd_cyclic_solve(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_cyclic_verify(args) -> tuple[int, dict, list[str]]:
-    from . import cyclic
-
-    v = _parse_file(cyclic.parse_entries, args.input, "entries")
-    res = cyclic.residuals(v)
-    if not math.isfinite(res.max_abs):
-        raise UsageError(f"entries in {args.input} overflow the residuals to a "
-                         "non-finite number (a value too large or too near 0)")
+    v, res = _entries_file(args.input)
     env_fields = {"n": v.n, "residual_max_abs": res.max_abs}
     ok = res.max_abs <= args.tol
     human = [f"n = {v.n}: residual max |.| = {res.max_abs:.3e} "

@@ -29,15 +29,13 @@ def backend_name() -> str:
 
 def ball_points(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All lattice points with L1 norm <= radius, sorted by (cost, x, y)."""
-    pts = sorted(
-        (abs(x) + abs(y), x, y)
-        for x in range(-radius, radius + 1)
-        for y in range(-(radius - abs(x)), radius - abs(x) + 1)
-    )
-    cost = np.array([p[0] for p in pts], dtype=np.int64)
-    px = np.array([p[1] for p in pts], dtype=np.int64)
-    py = np.array([p[2] for p in pts], dtype=np.int64)
-    return cost, px, py
+    x = np.arange(-radius, radius + 1, dtype=np.int64)
+    half = radius - np.abs(x)  # column x holds y in [-half, half]
+    px = np.repeat(x, 2 * half + 1)
+    py = np.concatenate([np.arange(-h, h + 1, dtype=np.int64) for h in half])
+    cost = np.abs(px) + np.abs(py)
+    order = np.lexsort((py, px, cost))
+    return cost[order], px[order], py[order]
 
 
 def min_cost_triangle(

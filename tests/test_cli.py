@@ -200,10 +200,10 @@ ERROR_FILES = {
                      "unrecognized arguments: --no-replay", id="no-skip-replay"),
         pytest.param(("funceq", "trace", "--limit", "100000001"), {},
                      "limit must be <= 100000000", id="trace-limit-bound"),
-        pytest.param(("cyclic", "solve", "--n", "2001", "--seed", "3"), {},
-                     "n must be <= 2000", id="cyclic-n-bound"),
+        pytest.param(("cyclic", "solve", "--n", "100001", "--seed", "3"), {},
+                     "n must be <= 100000", id="cyclic-n-bound"),
         pytest.param(("cyclic", "solve", "--n", str(10**12)), {},
-                     "n must be <= 2000", id="cyclic-n-huge"),
+                     "n must be <= 100000", id="cyclic-n-huge"),
         pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "inf"), {},
                      "argument --tol", id="tol-inf"),
         pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "nan"), {},
@@ -228,6 +228,11 @@ ERROR_FILES = {
                      "huge_entries.txt overflow the residuals", id="entries-huge"),
         pytest.param(("cyclic", "verify", "--input", "{tmp}/tiny_entries.txt"), {},
                      "tiny_entries.txt overflow the residuals", id="entries-tiny"),
+        pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/huge_entries.txt"), {},
+                     "huge_entries.txt overflow the residuals", id="init-huge"),
+        pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/tiny_entries.txt",
+                      "--json"), {},
+                     "tiny_entries.txt overflow the residuals", id="init-tiny"),
     ],
 )
 def test_usage_errors_exit_two(capsys, monkeypatch, tmp_path, argv, env, message):
@@ -549,14 +554,17 @@ print(code, "numpy" in sys.modules)
         (("funceq", "trace", "--limit", "50"), False),
         (("rect", "batch", "--count", "3"), False),
         (("pins", "oracle", "--doubled-area", "2", "--radius", "3"), True),
-        (("cyclic", "solve", "--n", "4", "--seed", "3"), True),
+        (("cyclic", "solve", "--n", "4", "--seed", "3"), False),
+        (("cyclic", "verify", "--input", "{tmp}/canonical.ent"), False),
     ],
 )
-def test_numpy_loads_only_for_oracle_and_cyclic(argv, loads_numpy):
+def test_numpy_loads_only_for_oracle(tmp_path, argv, loads_numpy):
     # a fresh interpreter per case, so nothing imported by other tests counts
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    (tmp_path / "canonical.ent").write_text("1.0\n2.0\n" * 4)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.split() == ["0", str(loads_numpy)]

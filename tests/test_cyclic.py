@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jmokit import cyclic
 from jmokit.cyclic import (
     CycleVector,
     canonical_solution,
@@ -114,6 +119,65 @@ def test_solve_multistart_lands_on_canonical():
             solution, record = solve(n, seed, tol=1e-10)
             assert record.converged, (n, seed)
             assert np.max(np.abs(np.array(solution.entries) - target)) < 1e-6
+
+
+def dense_reduced_jacobian(b):
+    # d/db_j of b_i - (1/b_{i-1} + 2/b_i + 1/b_{i+1}), built entry by entry
+    n = len(b)
+    jac = np.zeros((n, n))
+    for i in range(n):
+        jac[i, i] = 1.0 + 2.0 / b[i] ** 2
+        for j in ((i - 1) % n, (i + 1) % n):
+            jac[i, j] += 1.0 / b[j] ** 2
+    return jac
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 30, 300])
+def test_newton_step_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        b = 10.0 ** rng.uniform(-1.0, 1.0, size=n)
+        g = rng.uniform(-5.0, 5.0, size=n)
+        step = np.array(cyclic._newton_step(b.tolist(), g.tolist()))
+        expected = np.linalg.solve(dense_reduced_jacobian(b), -g)
+        assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_solve_sweep_certifies_every_start():
+    for n in range(4, 66):
+        for seed in range(20):
+            solution, record = solve(n, seed, tol=1e-10)
+            assert record.converged, (n, seed)
+            assert identity_checks(solution, tol=1e-10).ok, (n, seed)
+            assert minmax_certificate(solution, tol=1e-10).ok, (n, seed)
+
+
+def test_random_start_is_reproducible_and_log_uniform():
+    first = random_start(30, 4)
+    assert random_start(30, 4) == first
+    assert random_start(30, 5) != first
+    assert all(0.1 <= e <= 10.0 for e in first.entries)
+    assert min(first.entries) < 0.5 and max(first.entries) > 2.0
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        random_start(5, -1)
+
+
+def test_cyclic_loads_no_numpy():
+    # a fresh interpreter, so nothing imported by other tests counts
+    probe = ("import sys; from jmokit import cyclic; cyclic.random_start(6, 3); "
+             "v, r = cyclic.solve(6, 3); cyclic.identity_checks(v); cyclic.minmax_certificate(v); "
+             "print(r.converged, 'numpy' in sys.modules)")
+    src = str(Path(cyclic.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["True", "False"]
+
+
+@pytest.mark.parametrize("value", [1.7e308, 1e-320])
+def test_overflowing_residuals_are_infinite(value):
+    report = residuals(CycleVector(4, (value,) * 8))
+    assert report.max_abs == math.inf
 
 
 def test_solve_reports_nonconvergence():

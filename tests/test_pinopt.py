@@ -181,6 +181,16 @@ def test_scan_memory_is_bounded():
     assert peak < 64 * 2**20, peak
 
 
+def test_ball_points_match_sorted_tuples():
+    for radius in range(1, 41):
+        pts = sorted((abs(x) + abs(y), x, y)
+                     for x in range(-radius, radius + 1)
+                     for y in range(-(radius - abs(x)), radius - abs(x) + 1))
+        arrays = scan.ball_points(radius)
+        assert all(a.dtype == np.int64 for a in arrays)
+        assert [a.tolist() for a in arrays] == [list(column) for column in zip(*pts)], radius
+
+
 def closed_form_member(doubled_area):
     """The family member of the module docstring, of cost lower_bound(D)."""
     n = lower_bound(doubled_area)
