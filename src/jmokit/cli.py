@@ -31,8 +31,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict
-from fractions import Fraction
 
 from . import __version__, gcdperfect, pinopt, rectconcur, tripack
 from .svg import Scene
@@ -175,13 +173,7 @@ def _cmd_gcdset_construct(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_gcdset_search(args) -> tuple[int, dict, list[str]]:
-    budget = args.budget
-    if budget is None:
-        raw = os.environ.get("JMOKIT_NODE_BUDGET", str(gcdperfect.DEFAULT_NODE_BUDGET))
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise UsageError(f"JMOKIT_NODE_BUDGET must be an integer, got {raw!r}") from None
+    budget = gcdperfect.DEFAULT_NODE_BUDGET if args.budget is None else args.budget
     sets = gcdperfect.search_size(args.size, args.max, node_budget=budget)
     env_fields = {
         "count": len(sets),
@@ -228,8 +220,8 @@ def _pack_human(report: tripack.PackingReport) -> list[str]:
 
 def _cmd_pack_build(args) -> tuple[int, dict, list[str]]:
     try:
-        side = Fraction(args.side)
-        margin = Fraction(args.margin)
+        side = tripack._rational(args.side, "--side")
+        margin = tripack._rational(args.margin, "--margin")
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational: {exc}") from exc
     instance = tripack.tessellate(side, margin)
@@ -252,13 +244,18 @@ def _cmd_pack_validate(args) -> tuple[int, dict, list[str]]:
 def _cmd_pack_render(args) -> tuple[int, dict, list[str]]:
     instance = _parse_file(tripack.parse_packing, args.input, "packing")
     scene = Scene()
-    side = float(instance.side_len)
-    scene.polygon([(0.0, 0.0), (side, 0.0), (side / 2, side * 3**0.5 / 2)],
-                  stroke="#333333", width=2.0)
-    for triangle, hexagon in tripack.float_vertices(instance.forms):
-        scene.polygon(triangle, stroke="#884400", fill="#ddaa77", width=1.0, opacity=0.6)
-        scene.polygon(hexagon, stroke="#118811", width=1.0)
-    _write(args.svg, scene.to_svg())
+    try:
+        side = float(instance.side_len)
+        scene.polygon([(0.0, 0.0), (side, 0.0), (side / 2, side * 3**0.5 / 2)],
+                      stroke="#333333", width=2.0)
+        for triangle, hexagon in tripack.float_vertices(instance.forms):
+            scene.polygon(triangle, stroke="#884400", fill="#ddaa77", width=1.0, opacity=0.6)
+            scene.polygon(hexagon, stroke="#118811", width=1.0)
+        svg = scene.to_svg()
+    except (OverflowError, ValueError):  # a float overflows, or to_svg's extent does
+        raise UsageError(f"cannot draw {args.input}: a coordinate is beyond "
+                         "the float range") from None
+    _write(args.svg, svg)
     human = [f"wrote {args.svg} ({instance.count} triangle(s) with green hexagons)"]
     return 0, {"svg": args.svg, "count": instance.count}, human
 
@@ -274,8 +271,8 @@ def _cyclic_report_fields(v: cyclic.CycleVector, tol: float) -> dict:
     if res.max_abs <= tol:
         ident = cyclic.identity_checks(v, tol)
         mm = cyclic.minmax_certificate(v, tol)
-        fields["identities"] = asdict(ident)
-        fields["minmax"] = asdict(mm)
+        fields["identities"] = ident._asdict()
+        fields["minmax"] = mm._asdict()
     return fields
 
 
@@ -502,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = gcd_actions.add_parser("search", help="exhaustive search for a given size")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None, help="node budget (default env JMOKIT_NODE_BUDGET or 1e6)")
+    p.add_argument("--budget", type=int, default=None, help="node budget (default 10^6)")
     p.set_defaults(handler=_cmd_gcdset_search)
     common(p)
 
@@ -590,7 +587,16 @@ def _echo_inputs(args: argparse.Namespace) -> dict:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`jmokit ... | head -1`): exit as a
+        # SIGPIPE would, and point stdout at devnull so that the flush at
+        # exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

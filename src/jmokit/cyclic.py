@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 # Every Newton step is O(n) in time and memory, so the bound is set by the
 # wall time of one call: at the bound `cyclic solve --n 100000 --seed 1 --json`
@@ -46,22 +45,31 @@ from typing import Union
 MAX_N = 100_000
 
 
-@dataclass(frozen=True)
 class CycleVector:
     """Strictly positive finite entries a_1..a_2n, cyclic indexing, n >= 4."""
 
-    n: int
-    entries: tuple[float, ...]
+    __slots__ = ("n", "entries")
 
-    def __post_init__(self):
-        if self.n < 4:
-            raise ValueError(f"n must be >= 4, got {self.n}")
-        if len(self.entries) != 2 * self.n:
-            raise ValueError(f"expected {2 * self.n} entries, got {len(self.entries)}")
-        if any(not e > 0 for e in self.entries):
+    def __init__(self, n: int, entries: tuple[float, ...]):
+        if n < 4:
+            raise ValueError(f"n must be >= 4, got {n}")
+        if len(entries) != 2 * n:
+            raise ValueError(f"expected {2 * n} entries, got {len(entries)}")
+        if any(not e > 0 for e in entries):
             raise ValueError("entries must be strictly positive")
-        if not all(math.isfinite(e) for e in self.entries):
+        if not all(math.isfinite(e) for e in entries):
             raise ValueError("entries must be finite")
+        self.n = n
+        self.entries = entries
+
+    def __eq__(self, other):
+        return isinstance(other, CycleVector) and (self.n, self.entries) == (other.n, other.entries)
+
+    def __hash__(self):
+        return hash((self.n, self.entries))
+
+    def __repr__(self):
+        return f"CycleVector(n={self.n!r}, entries={self.entries!r})"
 
     def odd(self) -> tuple[float, ...]:
         """a_1, a_3, ..., a_{2n-1}."""
@@ -72,22 +80,19 @@ class CycleVector:
         return self.entries[1::2]
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     odd_residuals: tuple[float, ...]
     even_residuals: tuple[float, ...]
     max_abs: float
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(NamedTuple):
     converged: bool
     iterations: int
     residual: float
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     sum_vs_reciprocal_defect: float   # |sum b - sum 4/b|
     squared_pair_sum_defect: float    # |n - sum (1/b_i + 1/b_{i+1})^2|
     even_sum_defect: float            # |sum b - 2n|
@@ -95,8 +100,7 @@ class IdentityReport:
     ok: bool
 
 
-@dataclass(frozen=True)
-class MinMaxReport:
+class MinMaxReport(NamedTuple):
     minimum: float
     maximum: float
     spread: float                     # M - m
@@ -192,7 +196,8 @@ def solve(
     init may be a CycleVector, an integer seed for a random log-uniform
     start, or None for the all-ones start.  Steps are halved until all
     entries stay positive and the residual norm decreases.  Nonconvergence
-    is reported in the record, never silently accepted.
+    is reported in the record, never silently accepted; its iterations are
+    those run, so a stalled line search reports the iteration it stalled at.
     """
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
@@ -228,10 +233,10 @@ def solve(
                     break
             lam *= 0.5
         else:
-            break  # step vanished: stalled
+            break  # step vanished: stalled at this iteration
         if max(map(abs, g)) <= tol:
             return _back_substitute(n, b), ConvergenceRecord(True, iteration, max(map(abs, g)))
-    return _back_substitute(n, b), ConvergenceRecord(False, max_iter, max(map(abs, g)))
+    return _back_substitute(n, b), ConvergenceRecord(False, iteration, max(map(abs, g)))
 
 
 def _require_solution(v: CycleVector, tol: float) -> float:

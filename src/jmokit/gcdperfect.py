@@ -21,12 +21,11 @@ itself, so the search stays an independent check of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .kernel import Factorization, factorize, is_prime
 
-# search_size's node budget when the caller (or JMOKIT_NODE_BUDGET) sets none.
+# search_size's node budget when the caller sets none.
 DEFAULT_NODE_BUDGET = 10**6
 # GcdSet refuses larger elements: factorize is trial division, which takes
 # about 0.25 s for a prime near 10^12 and hours for one near 10^18.
@@ -84,15 +83,13 @@ class GcdSet:
         return f"GcdSet({list(self.elements)})"
 
 
-@dataclass(frozen=True)
-class PerfectionReport:
+class PerfectionReport(NamedTuple):
     verdict: bool
     witness_failure: Optional[tuple[int, int, int]]  # (s, d, count) with count != 1
     size: int
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     prime_count: int  # the k with |S| = 2^k
     size: int
 

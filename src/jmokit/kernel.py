@@ -13,7 +13,6 @@ the one float of (u + v*sqrt(3))/d, serves Sqrt3 and tripack's drawing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -42,8 +41,7 @@ def shoelace_doubled(a: LatticePoint, b: LatticePoint, c: LatticePoint) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Canonical prime factorization of a positive integer.
 
     prime_powers lists (prime, exponent) with strictly increasing primes and

@@ -26,7 +26,7 @@ base family covers them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kernel import LatticePoint, isqrt_ceil_of_sqrt, shoelace_doubled
 
@@ -36,8 +36,7 @@ CERTIFIED_OPTIMAL = "certified_optimal"
 MAX_ORACLE_RADIUS = 1000
 
 
-@dataclass(frozen=True)
-class PinState:
+class PinState(NamedTuple):
     a_pin: LatticePoint
     b_pin: LatticePoint
     c_pin: LatticePoint
@@ -52,8 +51,7 @@ class PinState:
         return shoelace_doubled(self.a_pin, self.b_pin, self.c_pin)
 
 
-@dataclass(frozen=True)
-class SolveCertificate:
+class SolveCertificate(NamedTuple):
     lower_bound: int
     witness: PinState
     status: str  # always CERTIFIED_OPTIMAL; the envelope and bench checks read it

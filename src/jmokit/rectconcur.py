@@ -19,17 +19,19 @@ constraint involves arctangents, so verdicts are certified by residual
 thresholds rather than exact arithmetic.
 
 The arithmetic is straight-line float code on unpacked coordinates.  A
-TriangleABC computes its three side lengths once, when it is built; the
-heights, the outward normals and the diameter all read them.  Each float
-expression is evaluated in one fixed operand order, so a seed gives the
-same configurations, residuals and random state bit for bit.
+TriangleABC is a __slots__ class that checks its vertices and computes its
+three side lengths once, in __init__; the heights, the outward normals and
+the diameter all read them.  RectangleConfig and ConcurrencyReport are
+NamedTuples.  Each float expression is evaluated in one fixed operand
+order, so a seed gives the same configurations, residuals and random state
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Pt = tuple[float, float]
 
@@ -50,14 +52,13 @@ class InfeasibleHeights(ValueError):
     """No positive third height can complete the angle constraint."""
 
 
-@dataclass(frozen=True)
 class TriangleABC:
-    a_pt: Pt
-    b_pt: Pt
-    c_pt: Pt
+    """Strictly acute triangle ABC with its side lengths, checked when built."""
 
-    def __post_init__(self):
-        (ax, ay), (bx, by), (cx, cy) = self.a_pt, self.b_pt, self.c_pt
+    __slots__ = ("a_pt", "b_pt", "c_pt", "_sides")
+
+    def __init__(self, a_pt: Pt, b_pt: Pt, c_pt: Pt):
+        (ax, ay), (bx, by), (cx, cy) = a_pt, b_pt, c_pt
         sa = (cx - bx) * (cx - bx) + (cy - by) * (cy - by)  # |BC|^2
         sb = (ax - cx) * (ax - cx) + (ay - cy) * (ay - cy)  # |CA|^2
         sc = (bx - ax) * (bx - ax) + (by - ay) * (by - ay)  # |AB|^2
@@ -67,12 +68,12 @@ class TriangleABC:
             raise ValueError("triangle must be strictly acute")
         if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0:
             raise ValueError("degenerate triangle: collinear vertices")
-        # |BC|, |CA|, |AB|; not a field, so equality and repr see the vertices only
-        object.__setattr__(self, "_sides", (
+        self.a_pt, self.b_pt, self.c_pt = a_pt, b_pt, c_pt
+        self._sides = (  # |BC|, |CA|, |AB|
             math.hypot(bx - cx, by - cy),
             math.hypot(cx - ax, cy - ay),
             math.hypot(ax - bx, ay - by),
-        ))
+        )
 
     def side_bc(self) -> float:
         return self._sides[0]
@@ -88,8 +89,7 @@ class TriangleABC:
         return max(self._sides)
 
 
-@dataclass(frozen=True)
-class RectangleConfig:
+class RectangleConfig(NamedTuple):
     """The triangle with its three outward rectangles fully materialized."""
 
     triangle: TriangleABC
@@ -118,8 +118,7 @@ class RectangleConfig:
         return abs(total - math.pi)
 
 
-@dataclass(frozen=True)
-class ConcurrencyReport:
+class ConcurrencyReport(NamedTuple):
     p_point: Pt
     line_defect: float              # max distance from P to lines C1A2 and A1B2
     circle_residuals: tuple[float, float, float]

@@ -35,9 +35,8 @@ with its points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .kernel import Sqrt3, _float, _floor, _positive, _reduced
 
@@ -52,6 +51,13 @@ INV_SQRT3 = Sqrt3(0, Fraction(1, 3))  # 1/sqrt(3) = sqrt(3)/3
 # tessellate refuses a side whose density bound (2/3) L^2 exceeds this many
 # anchors: the largest integer side it builds is 1224.
 MAX_PACK_ANCHORS = 10**6
+# _rational refuses a field whose value as p/q needs more digits than this in
+# either part, Python's default limit for int to str and back, so that
+# dump_packing and the envelopes can write every value it reads.  A decimal
+# exponent above it is refused before Fraction sees it: Fraction('1e10000000')
+# builds 10**10000000 and takes 12 s, and the limit does not see exponents.
+MAX_FIELD_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_FIELD_DIGITS
 
 
 def as_point(xy) -> Point:
@@ -215,8 +221,7 @@ class PackingInstance:
         return [(_reduced(x, x3, d), _reduced(y, y3, d)) for d, x, x3, y, y3 in self.forms]
 
 
-@dataclass(frozen=True)
-class PackingReport:
+class PackingReport(NamedTuple):
     count: int
     side_len: Fraction
     all_inside: bool
@@ -337,6 +342,10 @@ def validate_packing(instance: PackingInstance) -> PackingReport:
     first_overlap = next(_overlapping_pairs(forms), None)
 
     bound_ok = Fraction(n) <= Fraction(2, 3) * side * side
+    try:
+        density = n / float(side) ** 2
+    except (OverflowError, ZeroDivisionError):  # L^2 is beyond the float range
+        density = float(n / (side * side)) if side > 1 or not n else math.inf
     return PackingReport(
         count=n,
         side_len=side,
@@ -346,7 +355,7 @@ def validate_packing(instance: PackingInstance) -> PackingReport:
         first_overlap=first_overlap,
         bound_ok=bound_ok,
         bound_is_warning=side < 2,
-        density=n / float(side) ** 2,
+        density=density,
     )
 
 
@@ -428,6 +437,24 @@ def tessellate(side_len, margin=Fraction(0)) -> PackingInstance:
 # every packing this module produces.
 
 
+def _rational(field: str, name: str) -> Fraction:
+    """Fraction(field) for the field called name: packing-file fields, and
+    pack build's --side and --margin.  A field out of MAX_FIELD_DIGITS's
+    range raises ValueError naming it.
+    """
+    try:
+        exponent = int(field.lower().partition("e")[2])
+    except ValueError:
+        exponent = 0  # no decimal exponent: Fraction refuses the literal
+    if abs(exponent) > MAX_FIELD_DIGITS:
+        raise ValueError(f"{name} has a decimal exponent above "
+                         f"{MAX_FIELD_DIGITS} in absolute value")
+    value = Fraction(field)
+    if value.denominator >= _DIGITS_BOUND or abs(value.numerator) >= _DIGITS_BOUND:
+        raise ValueError(f"{name} needs more than {MAX_FIELD_DIGITS} digits as p/q")
+    return value
+
+
 def dump_packing(instance: PackingInstance) -> str:
     lines = [str(instance.side_len)]
     for d, x, x3, y, y3 in instance.forms:
@@ -448,11 +475,15 @@ def parse_packing(text: str) -> PackingInstance:
     lineno, line = rows[0]
     forms: list[Form] = []
     try:  # every error below names the physical line it was read from
-        side = Fraction(line)
+        side = _rational(line, "side")
         for lineno, line in rows[1:]:
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ValueError(f"expected 'x y [y3]', got {line!r}")
+            if "e" in line or "E" in line or len(line) > MAX_FIELD_DIGITS:
+                # only an exponent or a long field can leave _rational's
+                # range, so only such lines pay for its checks
+                parts = [_rational(f, name) for f, name in zip(parts, ("x", "y", "y3"))]
             x, y = Fraction(parts[0]), Fraction(parts[1])
             y3 = Fraction(parts[2]) if len(parts) == 3 else 0
             forms.append(_integer_form((x, 0, y, y3), side))

@@ -146,6 +146,11 @@ ERROR_FILES = {
     # finite entries whose residuals overflow, above and below
     "huge_entries.txt": "1.7e308\n" * 8,
     "tiny_entries.txt": "1e-320\n" * 8,
+    # fields past the 4300-digit bound: 1e4300 and 1e-4300 have 4301 digits
+    "exponent_side.txt": "1e4301\n1 1\n",
+    "exponent_x.txt": "10\n1E-4301 1\n",
+    "digits_y3.txt": "10\n1 1 1e4300\n",
+    "digits_y.txt": "10\n1 0." + "0" * 4299 + "1\n",
 }
 
 
@@ -174,8 +179,6 @@ ERROR_FILES = {
                      "bad entries file: entries must be finite", id="inf-entries"),
         pytest.param(("gcdset", "search", "--size", "2", "--max", "100", "--budget", "0"), {},
                      "search node budget exceeded (0 nodes)", id="budget-zero"),
-        pytest.param(("gcdset", "search", "--size", "2", "--max", "100"),
-                     {"JMOKIT_NODE_BUDGET": "many"}, "JMOKIT_NODE_BUDGET", id="budget-env"),
         pytest.param(("gcdset", "check", "--elements", "1000000000000000003,2"), {},
                      "element 1000000000000000003 is above 10^12", id="check-element-bound"),
         pytest.param(("gcdset", "construct", "--k", "1", "--p", "1000000000000000003",
@@ -233,6 +236,18 @@ ERROR_FILES = {
         pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/tiny_entries.txt",
                       "--json"), {},
                      "tiny_entries.txt overflow the residuals", id="init-tiny"),
+        pytest.param(("pack", "validate", "--input", "{tmp}/exponent_side.txt"), {},
+                     "line 1: side has a decimal exponent above 4300", id="packing-side-exponent"),
+        pytest.param(("pack", "validate", "--input", "{tmp}/exponent_x.txt"), {},
+                     "line 2: x has a decimal exponent above 4300", id="packing-x-exponent"),
+        pytest.param(("pack", "render", "--input", "{tmp}/digits_y3.txt", "--svg",
+                      "{tmp}/never.svg"), {},
+                     "line 2: y3 needs more than 4300 digits as p/q", id="packing-y3-digits"),
+        pytest.param(("pack", "validate", "--input", "{tmp}/digits_y.txt"), {},
+                     "line 2: y needs more than 4300 digits as p/q", id="packing-y-digits"),
+        pytest.param(("pack", "build", "--side", "8", "--margin", "1e4301"), {},
+                     "bad rational: --margin has a decimal exponent above 4300",
+                     id="margin-exponent"),
     ],
 )
 def test_usage_errors_exit_two(capsys, monkeypatch, tmp_path, argv, env, message):
@@ -379,6 +394,16 @@ def test_cyclic_solve_and_verify_roundtrip(capsys, tmp_path):
     env = json.loads(out)
     assert env["residual_max_abs"] <= 1e-8
     assert env["minmax"]["ok"] is True
+
+
+def test_cyclic_solve_reports_the_iteration_it_stalled_at(capsys, tmp_path):
+    # the first Newton step from 1e200 overflows to a NaN step, so the line
+    # search stalls at iteration 1, not at --max-iter
+    entries = tmp_path / "huge_start.txt"
+    entries.write_text("1e200\n" * 8)
+    code, out = run_cli(capsys, "cyclic", "solve", "--n", "4", "--init", str(entries),
+                        "--max-iter", "2000")
+    assert (code, out) == (1, "n = 4: DID NOT CONVERGE in 1 iteration(s), residual 1.000e+200\n")
 
 
 def test_cyclic_verify_rejects_non_solution(capsys, tmp_path):
@@ -568,3 +593,65 @@ def test_numpy_loads_only_for_oracle(tmp_path, argv, loads_numpy):
     done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.split() == ["0", str(loads_numpy)]
+
+
+def fresh_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_no_module_loads_dataclasses():
+    # a fresh interpreter importing every module, scan (and so numpy) included
+    probe = ("import importlib, pkgutil, sys, jmokit\n"
+             "for m in pkgutil.iter_modules(jmokit.__path__): importlib.import_module('jmokit.' + m.name)\n"
+             "print('numpy' in sys.modules, 'dataclasses' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["True", "False"]
+
+
+EXPONENT_PROBE = """
+import contextlib, io, sys, time
+from jmokit import cli
+started = time.perf_counter()
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    code = cli.run(sys.argv[1:])
+print(code, time.perf_counter() - started)
+print(err.getvalue())
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("pack", "build", "--side", "1e-100000000"), None,
+         "bad rational: --side has a decimal exponent above 4300 in absolute value"),
+        (("pack", "validate", "--input", "{tmp}/exponent.txt"), "1e100000000\n1 1\n",
+         "bad packing file: line 1: side has a decimal exponent above 4300 in absolute value"),
+    ],
+    ids=["build-side", "validate-side-line"],
+)
+def test_decimal_exponent_exits_two_within_a_second(tmp_path, argv, text, message):
+    # Fraction alone would spend minutes building 10**100000000; the child
+    # times the call, and the timeout bounds a regression
+    if text is not None:
+        (tmp_path / "exponent.txt").write_text(text)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    done = subprocess.run([sys.executable, "-c", EXPONENT_PROBE, *argv], env=fresh_env(),
+                          capture_output=True, text=True, timeout=30, check=True)
+    result, err = done.stdout.split("\n", 1)
+    code, seconds = result.split()
+    assert code == "2" and float(seconds) < 1.0
+    assert err.strip() == f"error: {message}"
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the envelope is far larger than a pipe buffer, so the write after the
+    # reader closes fails with EPIPE
+    child = subprocess.Popen([sys.executable, "-m", "jmokit.cli", "rect", "batch",
+                              "--count", "2000", "--json"], env=fresh_env(),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (141, b"")
