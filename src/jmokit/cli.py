@@ -13,12 +13,19 @@ usage errors, malformed inputs, and exhausted budgets.  Every error that
 exits 2 is a ValueError (UsageError and gcdperfect.BudgetExceeded included),
 and run() maps it to exit 2 in one place.
 
-The argparse tree is built once per process and shared by every run() call;
-parse_args gives each call a fresh Namespace, so no state carries over.  The
-one numpy-backed layer, scan behind pinopt.oracle_min_moves, is imported only
-when pins oracle runs, so no other subcommand loads numpy; cyclic and funceq
-are imported by their handlers the same way, so no other subcommand pays for
-them.
+A fresh call pays only for the subcommand it runs.  The module itself loads
+pinopt (and through it kernel); every other layer is imported by the
+handlers that use it, so gcdset loads gcdperfect, pack tripack (and svg to
+render), cyclic cyclic, funceq funceq, and rect rectconcur (and svg).  The
+one numpy-backed layer, scan behind pinopt.oracle_min_moves, is imported
+only when pins oracle runs, so no other subcommand loads numpy.
+
+One parser per process is shared by every run() call; parse_args gives each
+call a fresh Namespace, so no state carries over.  It is built group by
+group: _build_parser makes the top parser and the six group parsers, and
+run() adds the action parsers of the group that argv starts with, or of
+every group when argv starts with none (-h, --version, a typo), each group
+once per parser.
 """
 
 from __future__ import annotations
@@ -28,12 +35,10 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 import time
 
-from . import __version__, gcdperfect, pinopt, rectconcur, tripack
-from .svg import Scene
+from . import __version__, pinopt
 
 
 def _envelope(args: argparse.Namespace, inputs: dict, **fields) -> dict:
@@ -142,6 +147,8 @@ def _cmd_pins_oracle(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_gcdset_check(args) -> tuple[int, dict, list[str]]:
+    from . import gcdperfect
+
     s = gcdperfect.GcdSet(_int_list(args.elements))
     report = gcdperfect.is_gcd_perfect(s)
     env_fields = {
@@ -163,6 +170,8 @@ def _cmd_gcdset_check(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_gcdset_construct(args) -> tuple[int, dict, list[str]]:
+    from . import gcdperfect
+
     s = gcdperfect.construct(args.k, _int_list(args.p) if args.p else [],
                              _int_list(args.q) if args.q else [])
     report = gcdperfect.is_gcd_perfect(s)
@@ -173,6 +182,8 @@ def _cmd_gcdset_construct(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_gcdset_search(args) -> tuple[int, dict, list[str]]:
+    from . import gcdperfect
+
     budget = gcdperfect.DEFAULT_NODE_BUDGET if args.budget is None else args.budget
     sets = gcdperfect.search_size(args.size, args.max, node_budget=budget)
     env_fields = {
@@ -200,7 +211,7 @@ def _pack_report_fields(report: tripack.PackingReport) -> dict:
         "first_overlap": list(report.first_overlap) if report.first_overlap else None,
         "bound_ok": report.bound_ok,
         "bound_is_warning": report.bound_is_warning,
-        "density": report.density,
+        "density": report.density if math.isfinite(report.density) else None,  # JSON has no inf
         "valid": report.valid,
     }
 
@@ -219,6 +230,8 @@ def _pack_human(report: tripack.PackingReport) -> list[str]:
 
 
 def _cmd_pack_build(args) -> tuple[int, dict, list[str]]:
+    from . import tripack
+
     try:
         side = tripack._rational(args.side, "--side")
         margin = tripack._rational(args.margin, "--margin")
@@ -236,12 +249,17 @@ def _cmd_pack_build(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_pack_validate(args) -> tuple[int, dict, list[str]]:
+    from . import tripack
+
     instance = _parse_file(tripack.parse_packing, args.input, "packing")
     report = tripack.validate_packing(instance)
     return (0 if report.valid else 1), {"report": _pack_report_fields(report)}, _pack_human(report)
 
 
 def _cmd_pack_render(args) -> tuple[int, dict, list[str]]:
+    from . import tripack
+    from .svg import Scene
+
     instance = _parse_file(tripack.parse_packing, args.input, "packing")
     scene = Scene()
     try:
@@ -386,6 +404,10 @@ def _cmd_funceq_trace(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
+    import random
+
+    from . import rectconcur
+
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     if args.count > rectconcur.MAX_BATCH_COUNT:
@@ -432,6 +454,11 @@ def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_rect_render(args) -> tuple[int, dict, list[str]]:
+    import random
+
+    from . import rectconcur
+    from .svg import Scene
+
     rng = random.Random(args.seed)
     config = rectconcur.random_config(rng)
     report = rectconcur.certify_concurrency(config)
@@ -458,72 +485,62 @@ def _cmd_rect_render(args) -> tuple[int, dict, list[str]]:
 # -- parser ----------------------------------------------------------------
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="jmokit",
-        description="Solvers, exact checkers, and brute-force oracles "
-                    "for the six USAJMO 2021 problems.",
-    )
-    parser.add_argument("--version", action="version", version=f"jmokit {__version__}")
-    groups = parser.add_subparsers(dest="group", required=True)
+def _common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true", help="emit a JSON report envelope")
+    p.add_argument("--timings", action="store_true", help="include wall-clock timings")
 
-    def common(sub):
-        sub.add_argument("--json", action="store_true", help="emit a JSON report envelope")
-        sub.add_argument("--timings", action="store_true", help="include wall-clock timings")
 
-    pins = groups.add_parser("pins", help="minimum pin moves for a target lattice-triangle area")
-    pins_actions = pins.add_subparsers(dest="action", required=True)
-    p = pins_actions.add_parser("solve", help="witness plus optimality certificate")
+def _pins_actions(actions) -> None:
+    p = actions.add_parser("solve", help="witness plus optimality certificate")
     p.add_argument("--doubled-area", type=int, required=True, dest="doubled_area")
     p.set_defaults(handler=_cmd_pins_solve)
-    common(p)
-    p = pins_actions.add_parser("oracle", help="exhaustive scan near the origin")
+    _common(p)
+    p = actions.add_parser("oracle", help="exhaustive scan near the origin")
     p.add_argument("--doubled-area", type=int, required=True, dest="doubled_area")
     p.add_argument("--radius", type=int, required=True)
     p.set_defaults(handler=_cmd_pins_oracle)
-    common(p)
+    _common(p)
 
-    gcd = groups.add_parser("gcdset", help="gcd-perfect set checking, construction, search")
-    gcd_actions = gcd.add_subparsers(dest="action", required=True)
-    p = gcd_actions.add_parser("check", help="decide gcd-perfection")
+
+def _gcdset_actions(actions) -> None:
+    p = actions.add_parser("check", help="decide gcd-perfection")
     p.add_argument("--elements", required=True, help="comma-separated positive integers")
     p.set_defaults(handler=_cmd_gcdset_check)
-    common(p)
-    p = gcd_actions.add_parser("construct", help="2^k witness from prime lists")
+    _common(p)
+    p = actions.add_parser("construct", help="2^k witness from prime lists")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", default="", help="comma-separated primes (k of them)")
     p.add_argument("--q", default="", help="comma-separated primes (k of them)")
     p.set_defaults(handler=_cmd_gcdset_construct)
-    common(p)
-    p = gcd_actions.add_parser("search", help="exhaustive search for a given size")
+    _common(p)
+    p = actions.add_parser("search", help="exhaustive search for a given size")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="node budget (default 10^6)")
     p.set_defaults(handler=_cmd_gcdset_search)
-    common(p)
+    _common(p)
 
-    pack = groups.add_parser("pack", help="inverted-triangle packings in Delta")
-    pack_actions = pack.add_subparsers(dest="action", required=True)
-    p = pack_actions.add_parser("build", help="near-optimal tessellation packing")
+
+def _pack_actions(actions) -> None:
+    p = actions.add_parser("build", help="near-optimal tessellation packing")
     p.add_argument("--side", required=True, help="side length L (exact rational, >= 4)")
     p.add_argument("--margin", default="0", help="extra rational inset from the boundary")
     p.add_argument("--out", default=None, help="write the packing file here")
     p.set_defaults(handler=_cmd_pack_build)
-    common(p)
-    p = pack_actions.add_parser("validate", help="exact validation of a packing file")
+    _common(p)
+    p = actions.add_parser("validate", help="exact validation of a packing file")
     p.add_argument("--input", required=True)
     p.set_defaults(handler=_cmd_pack_validate)
-    common(p)
-    p = pack_actions.add_parser("render", help="SVG of triangles and their hexagons")
+    _common(p)
+    p = actions.add_parser("render", help="SVG of triangles and their hexagons")
     p.add_argument("--input", required=True)
     p.add_argument("--svg", required=True)
     p.set_defaults(handler=_cmd_pack_render)
-    common(p)
+    _common(p)
 
-    cyc = groups.add_parser("cyclic", help="the cyclic 2n-equation system")
-    cyc_actions = cyc.add_subparsers(dest="action", required=True)
-    p = cyc_actions.add_parser("solve", help="damped Newton from a chosen start")
+
+def _cyclic_actions(actions) -> None:
+    p = actions.add_parser("solve", help="damped Newton from a chosen start")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None, help="random log-uniform start")
     p.add_argument("--init", default=None, help="entries file to start from")
@@ -531,45 +548,89 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
     p.add_argument("--out", default=None, help="write the solution entries here")
     p.set_defaults(handler=_cmd_cyclic_solve)
-    common(p)
-    p = cyc_actions.add_parser("verify", help="residuals and identities of an entries file")
+    _common(p)
+    p = actions.add_parser("verify", help="residuals and identities of an entries file")
     p.add_argument("--input", required=True)
     p.add_argument("--tol", type=_finite, default=1e-8)
     p.set_defaults(handler=_cmd_cyclic_verify)
-    common(p)
+    _common(p)
 
-    feq = groups.add_parser("funceq", help="function tables against the two conditions")
-    feq_actions = feq.add_subparsers(dest="action", required=True)
-    p = feq_actions.add_parser("check", help="all violations within a table file")
+
+def _funceq_actions(actions) -> None:
+    p = actions.add_parser("check", help="all violations within a table file")
     p.add_argument("--input", required=True, help="text file of 'n value' lines")
     p.set_defaults(handler=_cmd_funceq_check)
-    common(p)
-    p = feq_actions.add_parser("trace", help="forced derivation f(1..N) = 1, with replay")
+    _common(p)
+    p = actions.add_parser("trace", help="forced derivation f(1..N) = 1, with replay")
     p.add_argument("--limit", type=int, required=True)
     p.set_defaults(handler=_cmd_funceq_trace)
-    common(p)
+    _common(p)
 
-    rect = groups.add_parser("rect", help="rectangle concurrency certificates")
-    rect_actions = rect.add_subparsers(dest="action", required=True)
-    p = rect_actions.add_parser("batch", help="certify random configurations")
+
+def _rect_actions(actions) -> None:
+    from . import rectconcur  # the --rel-tol default
+
+    p = actions.add_parser("batch", help="certify random configurations")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb", type=_finite, default=1.0,
                    help="scale the solved third height (1.0 = constraint holds)")
     p.add_argument("--rel-tol", type=_finite, default=rectconcur.DEFAULT_REL_TOL, dest="rel_tol")
     p.set_defaults(handler=_cmd_rect_batch)
-    common(p)
-    p = rect_actions.add_parser("render", help="SVG of one certified configuration")
+    _common(p)
+    p = actions.add_parser("render", help="SVG of one certified configuration")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svg", required=True)
     p.set_defaults(handler=_cmd_rect_render)
-    common(p)
+    _common(p)
 
+
+# group name: (help, the function that adds the group's action parsers)
+_GROUPS = {
+    "pins": ("minimum pin moves for a target lattice-triangle area", _pins_actions),
+    "gcdset": ("gcd-perfect set checking, construction, search", _gcdset_actions),
+    "pack": ("inverted-triangle packings in Delta", _pack_actions),
+    "cyclic": ("the cyclic 2n-equation system", _cyclic_actions),
+    "funceq": ("function tables against the two conditions", _funceq_actions),
+    "rect": ("rectangle concurrency certificates", _rect_actions),
+}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The top parser and the group parsers, without their action parsers.
+
+    The group parsers still to be filled in are kept on the parser itself
+    (`unbuilt`), so each new parser starts with every group unbuilt.
+    """
+    parser = argparse.ArgumentParser(
+        prog="jmokit",
+        description="Solvers, exact checkers, and brute-force oracles "
+                    "for the six USAJMO 2021 problems.",
+    )
+    parser.add_argument("--version", action="version", version=f"jmokit {__version__}")
+    groups = parser.add_subparsers(dest="group", required=True)
+    parser.unbuilt = {name: groups.add_parser(name, help=text)
+                      for name, (text, _) in _GROUPS.items()}
     return parser
 
 
+def _add_actions(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Add the action parsers of the group that argv starts with, or of every
+    group when it starts with none (-h, --version, a typo, no argument).
+    Each group is filled in at most once per parser."""
+    names = [argv[0]] if argv and argv[0] in _GROUPS else list(_GROUPS)
+    for name in names:
+        group = parser.unbuilt.pop(name, None)
+        if group is not None:
+            _GROUPS[name][1](group.add_subparsers(dest="action", required=True))
+
+
 def run(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = _build_parser()
+    _add_actions(parser, argv)
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:

@@ -37,6 +37,7 @@ _BASE_ONE, _BASE_TWO, _ODD, _EVEN = range(4)
 
 CHUNK = 1 << 14          # steps per trace chunk; even, so every chunk starts at an odd target
 MAX_TRACE_LIMIT = 10**8  # the replay bitmap takes one byte per n: 100 MB at the bound
+BLOCK = 1 << 16          # characters parse_table reads at a time
 
 # A '#' comment runs to the next line break, as str.splitlines breaks lines.
 # Compiled by re.sub on first use, so imports that parse no table skip it.
@@ -277,23 +278,39 @@ def _count_rules(rule_counts: dict[str, int], names: tuple[str, ...],
 def parse_table(text: str) -> FunctionTable:
     """Parse "n value" lines (blank lines and #-comments ignored).
 
-    One split() of the comment-free text gives the n and value columns; a
-    table listing n = 1..N in order becomes its value column as it stands.
-    Only when a line is at fault (a field count, a non-integer, n < 1 or a
-    repeated n) are the lines walked one by one, so that the error names the
-    first offending physical line.
+    The text is read in blocks of about BLOCK characters, each cut right
+    after a line feed, so a block's lines, comments and tokens are those of
+    the whole text.  One split() of a comment-free block gives its n and
+    value columns.  A table listing n = 1..N in order keeps only its value
+    column; the n column is kept from the first block where n leaves that
+    order.  Only when a line is at fault (a field count, a non-integer,
+    n < 1 or a repeated n) are the lines walked one by one, so that the
+    error names the first offending physical line.
     """
-    body = re.sub(_COMMENT, "", text) if "#" in text else text
-    ns = values = None
-    if set(map(len, map(str.split, body.splitlines()))) <= {0, 2}:  # two fields a line
-        tokens = body.split()
+    values: list[int] = []
+    ns: list[int] | None = None  # the n column, once n leaves 1, 2, ...
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + BLOCK) + 1 or len(text)
+        block = text[start:cut]
+        start = cut
+        if "#" in block:
+            block = re.sub(_COMMENT, "", block)
+        if not set(map(len, map(str.split, block.splitlines()))) <= {0, 2}:  # two fields a line
+            _raise_line_error(text)
+        tokens = block.split()
         try:
-            ns, values = list(map(int, tokens[0::2])), list(map(int, tokens[1::2]))
+            block_ns, block_values = list(map(int, tokens[0::2])), list(map(int, tokens[1::2]))
         except ValueError:  # a field that is not an integer
-            pass
-    if ns is not None and ns == list(range(1, len(ns) + 1)):
+            _raise_line_error(text)
+        if ns is None and block_ns != list(range(len(values) + 1, len(values) + len(block_ns) + 1)):
+            ns = list(range(1, len(values) + 1))
+        if ns is not None:
+            ns += block_ns
+        values += block_values
+    if ns is None:
         return FunctionTable(values)
-    if ns is None or min(ns, default=1) < 1 or len(set(ns)) < len(ns):
+    if min(ns, default=1) < 1 or len(set(ns)) < len(ns):
         _raise_line_error(text)
     return FunctionTable(dict(zip(ns, values)))  # n out of order, or missing
 

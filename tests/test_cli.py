@@ -155,107 +155,105 @@ ERROR_FILES = {
 
 
 @pytest.mark.parametrize(
-    "argv, env, message",
+    "argv, message",
     [
-        pytest.param(("pack", "validate", "--input", "/nonexistent/file.txt"), {},
+        pytest.param(("pack", "validate", "--input", "/nonexistent/file.txt"),
                      "cannot read /nonexistent/file.txt", id="missing-file"),
-        pytest.param(("pack", "validate", "--input", "{tmp}/bad_packing.txt"), {},
+        pytest.param(("pack", "validate", "--input", "{tmp}/bad_packing.txt"),
                      "bad packing file:", id="malformed-packing"),
-        pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/bad_entries.txt"), {},
+        pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/bad_entries.txt"),
                      "bad entries file: line 3: could not convert", id="malformed-init"),
-        pytest.param(("cyclic", "verify", "--input", "{tmp}/bad_entries_line5.txt"), {},
+        pytest.param(("cyclic", "verify", "--input", "{tmp}/bad_entries_line5.txt"),
                      "bad entries file: line 5: could not convert", id="entries-line"),
-        pytest.param(("pack", "validate", "--input", "{tmp}/bad_side.txt"), {},
+        pytest.param(("pack", "validate", "--input", "{tmp}/bad_side.txt"),
                      "bad packing file: line 2: Invalid literal for Fraction: 'side eight'",
                      id="packing-side-line"),
-        pytest.param(("pack", "validate", "--input", "{tmp}/bad_anchor.txt"), {},
+        pytest.param(("pack", "validate", "--input", "{tmp}/bad_anchor.txt"),
                      "bad packing file: line 4: Invalid literal for Fraction: 'y'",
                      id="packing-anchor-line"),
-        pytest.param(("funceq", "check", "--input", "{tmp}/bad_table.txt"), {},
+        pytest.param(("funceq", "check", "--input", "{tmp}/bad_table.txt"),
                      "bad table file: line 3: invalid literal for int()", id="table-line"),
-        pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/inf.txt"), {},
+        pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/inf.txt"),
                      "bad entries file: entries must be finite", id="inf-init"),
-        pytest.param(("cyclic", "verify", "--input", "{tmp}/inf.txt"), {},
+        pytest.param(("cyclic", "verify", "--input", "{tmp}/inf.txt"),
                      "bad entries file: entries must be finite", id="inf-entries"),
-        pytest.param(("gcdset", "search", "--size", "2", "--max", "100", "--budget", "0"), {},
+        pytest.param(("gcdset", "search", "--size", "2", "--max", "100", "--budget", "0"),
                      "search node budget exceeded (0 nodes)", id="budget-zero"),
-        pytest.param(("gcdset", "check", "--elements", "1000000000000000003,2"), {},
+        pytest.param(("gcdset", "check", "--elements", "1000000000000000003,2"),
                      "element 1000000000000000003 is above 10^12", id="check-element-bound"),
         pytest.param(("gcdset", "construct", "--k", "1", "--p", "1000000000000000003",
-                      "--q", "2"), {},
+                      "--q", "2"),
                      "element 1000000000000000003 is above 10^12", id="construct-element-bound"),
-        pytest.param(("pack", "validate", "--input", "{tmp}/side_zero.txt"), {},
+        pytest.param(("pack", "validate", "--input", "{tmp}/side_zero.txt"),
                      "bad packing file: side length must be positive", id="packing-side-zero"),
         pytest.param(("pack", "render", "--input", "{tmp}/side_negative.txt", "--svg",
-                      "{tmp}/never.svg"), {},
+                      "{tmp}/never.svg"),
                      "bad packing file: side length must be positive", id="packing-side-negative"),
-        pytest.param(("pack", "build", "--side", "100000"), {},
+        pytest.param(("pack", "build", "--side", "100000"),
                      "side 100000 is above the bound", id="pack-side-huge"),
-        pytest.param(("pins", "oracle", "--doubled-area", "4", "--radius", "1001"), {},
+        pytest.param(("pins", "oracle", "--doubled-area", "4", "--radius", "1001"),
                      "radius 1001 is above the bound", id="oracle-radius-bound"),
-        pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "0"), {},
+        pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "0"),
                      "max_iter must be >= 1, got 0", id="max-iter-zero"),
-        pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "-5"), {},
+        pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "-5"),
                      "max_iter must be >= 1, got -5", id="max-iter-negative"),
-        pytest.param(("pins", "solve", "--doubled-area", "5", "--cap", "5"), {},
+        pytest.param(("pins", "solve", "--doubled-area", "5", "--cap", "5"),
                      "unrecognized arguments: --cap", id="no-cap"),
-        pytest.param(("funceq", "trace", "--limit", "5", "--no-replay"), {},
+        pytest.param(("funceq", "trace", "--limit", "5", "--no-replay"),
                      "unrecognized arguments: --no-replay", id="no-skip-replay"),
-        pytest.param(("funceq", "trace", "--limit", "100000001"), {},
+        pytest.param(("funceq", "trace", "--limit", "100000001"),
                      "limit must be <= 100000000", id="trace-limit-bound"),
-        pytest.param(("cyclic", "solve", "--n", "100001", "--seed", "3"), {},
+        pytest.param(("cyclic", "solve", "--n", "100001", "--seed", "3"),
                      "n must be <= 100000", id="cyclic-n-bound"),
-        pytest.param(("cyclic", "solve", "--n", str(10**12)), {},
+        pytest.param(("cyclic", "solve", "--n", str(10**12)),
                      "n must be <= 100000", id="cyclic-n-huge"),
-        pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "inf"), {},
+        pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "inf"),
                      "argument --tol", id="tol-inf"),
-        pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "nan"), {},
+        pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "nan"),
                      "argument --tol", id="tol-nan"),
-        pytest.param(("rect", "batch", "--count", "100001"), {},
+        pytest.param(("rect", "batch", "--count", "100001"),
                      "--count must be <= 100000", id="rect-count-bound"),
-        pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "inf"), {},
+        pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "inf"),
                      "argument --rel-tol", id="rel-tol-inf"),
-        pytest.param(("rect", "batch", "--count", "3", "--perturb", "nan"), {},
+        pytest.param(("rect", "batch", "--count", "3", "--perturb", "nan"),
                      "argument --perturb", id="perturb-nan"),
-        pytest.param(("rect", "batch", "--count", "3", "--perturb", "inf"), {},
+        pytest.param(("rect", "batch", "--count", "3", "--perturb", "inf"),
                      "argument --perturb", id="perturb-inf"),
-        pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "0"), {},
+        pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "0"),
                      "--rel-tol must be > 0, got 0.0", id="rel-tol-zero"),
-        pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "-1"), {},
+        pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "-1"),
                      "--rel-tol must be > 0, got -1.0", id="rel-tol-negative"),
-        pytest.param(("rect", "batch", "--count", "2", "--perturb", "1e200", "--json"), {},
+        pytest.param(("rect", "batch", "--count", "2", "--perturb", "1e200", "--json"),
                      "--perturb 1e+200 is too large", id="perturb-huge-json"),
-        pytest.param(("rect", "batch", "--count", "2", "--perturb", "1e200"), {},
+        pytest.param(("rect", "batch", "--count", "2", "--perturb", "1e200"),
                      "--perturb 1e+200 is too large", id="perturb-huge"),
-        pytest.param(("cyclic", "verify", "--input", "{tmp}/huge_entries.txt", "--json"), {},
+        pytest.param(("cyclic", "verify", "--input", "{tmp}/huge_entries.txt", "--json"),
                      "huge_entries.txt overflow the residuals", id="entries-huge"),
-        pytest.param(("cyclic", "verify", "--input", "{tmp}/tiny_entries.txt"), {},
+        pytest.param(("cyclic", "verify", "--input", "{tmp}/tiny_entries.txt"),
                      "tiny_entries.txt overflow the residuals", id="entries-tiny"),
-        pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/huge_entries.txt"), {},
+        pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/huge_entries.txt"),
                      "huge_entries.txt overflow the residuals", id="init-huge"),
         pytest.param(("cyclic", "solve", "--n", "4", "--init", "{tmp}/tiny_entries.txt",
-                      "--json"), {},
+                      "--json"),
                      "tiny_entries.txt overflow the residuals", id="init-tiny"),
-        pytest.param(("pack", "validate", "--input", "{tmp}/exponent_side.txt"), {},
+        pytest.param(("pack", "validate", "--input", "{tmp}/exponent_side.txt"),
                      "line 1: side has a decimal exponent above 4300", id="packing-side-exponent"),
-        pytest.param(("pack", "validate", "--input", "{tmp}/exponent_x.txt"), {},
+        pytest.param(("pack", "validate", "--input", "{tmp}/exponent_x.txt"),
                      "line 2: x has a decimal exponent above 4300", id="packing-x-exponent"),
         pytest.param(("pack", "render", "--input", "{tmp}/digits_y3.txt", "--svg",
-                      "{tmp}/never.svg"), {},
+                      "{tmp}/never.svg"),
                      "line 2: y3 needs more than 4300 digits as p/q", id="packing-y3-digits"),
-        pytest.param(("pack", "validate", "--input", "{tmp}/digits_y.txt"), {},
+        pytest.param(("pack", "validate", "--input", "{tmp}/digits_y.txt"),
                      "line 2: y needs more than 4300 digits as p/q", id="packing-y-digits"),
-        pytest.param(("pack", "build", "--side", "8", "--margin", "1e4301"), {},
+        pytest.param(("pack", "build", "--side", "8", "--margin", "1e4301"),
                      "bad rational: --margin has a decimal exponent above 4300",
                      id="margin-exponent"),
     ],
 )
-def test_usage_errors_exit_two(capsys, monkeypatch, tmp_path, argv, env, message):
+def test_usage_errors_exit_two(capsys, tmp_path, argv, message):
     # exit 2, nothing on stdout, and one message naming the input
     for name, text in ERROR_FILES.items():
         (tmp_path / name).write_text(text)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     try:
         code = cli.run([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     except SystemExit as exc:  # argparse rejects an argument by exiting
@@ -561,6 +559,58 @@ def test_shared_parser_leaks_nothing_between_calls(capsys, monkeypatch):
     assert json.loads(shared[6][1])["inputs"] == {"doubled_area": 4042}
 
 
+GROUP_ACTIONS = {
+    "pins": ("solve", "oracle"),
+    "gcdset": ("check", "construct", "search"),
+    "pack": ("build", "validate", "render"),
+    "cyclic": ("solve", "verify"),
+    "funceq": ("check", "trace"),
+    "rect": ("batch", "render"),
+}
+
+
+fresh_parser = cli._build_parser.__wrapped__  # a new parser on each call, every group unbuilt
+
+
+def parser_with_every_group():
+    parser = fresh_parser()
+    cli._add_actions(parser, [])
+    return parser
+
+
+def test_groups_built_on_demand_read_as_if_built_up_front(capsys, monkeypatch):
+    # run() adds only the action parsers of the group argv names; every help
+    # and usage text must be the one a fully built parser gives
+    assert set(GROUP_ACTIONS) == set(cli._GROUPS)
+    argvs = [("-h",), ("nogroup",), ("pins", "nope")]
+    for group, actions in GROUP_ACTIONS.items():
+        argvs += [(group, "-h"), (group,), *((group, action, "-h") for action in actions)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", fresh_parser)
+        on_demand = [call_outputs(capsys, argv) for argv in argvs]
+        patch.setattr(cli, "_build_parser", parser_with_every_group)
+        up_front = [call_outputs(capsys, argv) for argv in argvs]
+    assert on_demand == up_front
+    assert {code for code, _, _ in on_demand} == {0, 2}
+    parser = fresh_parser()
+    cli._add_actions(parser, ["pins", "solve"])
+    assert set(parser.unbuilt) == set(GROUP_ACTIONS) - {"pins"}
+
+
+def test_pack_validate_non_finite_density_is_invalid_in_both_forms(capsys, tmp_path):
+    # n / L^2 overflows a float at side 1e-400: INVALID either way, and the
+    # envelope writes the density as null, since JSON has no infinity
+    path = tmp_path / "tiny_side.txt"
+    path.write_text("1e-400\n1 1\n")
+    code, out, err = call_outputs(capsys, ("pack", "validate", "--input", str(path)))
+    assert (code, err) == (1, "")
+    assert "density n/L^2 = inf" in out and "verdict: INVALID" in out
+    code, out, err = call_outputs(capsys, ("pack", "validate", "--input", str(path), "--json"))
+    assert (code, err) == (1, "")
+    report = json.loads(out)["report"]
+    assert (report["density"], report["valid"], report["first_outside"]) == (None, False, 0)
+
+
 NUMPY_PROBE = """
 import contextlib, io, sys
 from jmokit import cli
@@ -598,6 +648,34 @@ def test_numpy_loads_only_for_oracle(tmp_path, argv, loads_numpy):
 def fresh_env():
     src = str(Path(cli.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+LAYERS_PROBE = """
+import contextlib, io, sys
+from jmokit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("jmokit.") or m == "numpy"))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, layer",
+    [
+        (("pins", "solve", "--doubled-area", "4042"), None),
+        (("gcdset", "check", "--elements", "6,14,15,35"), "gcdperfect"),
+        (("pack", "build", "--side", "6"), "tripack"),
+        (("cyclic", "solve", "--n", "4", "--seed", "3"), "cyclic"),
+        (("funceq", "trace", "--limit", "50"), "funceq"),
+        (("rect", "batch", "--count", "3"), "rectconcur"),
+    ],
+)
+def test_a_fresh_call_imports_only_its_layer(argv, layer):
+    # jmokit.cli itself loads pinopt and kernel; each handler loads its layer
+    done = subprocess.run([sys.executable, "-c", LAYERS_PROBE, *argv], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = ["jmokit.cli", "jmokit.kernel", "jmokit.pinopt"] + ([f"jmokit.{layer}"] if layer else [])
+    assert done.stdout.split() == ["0", *sorted(loaded)]
 
 
 def test_no_module_loads_dataclasses():

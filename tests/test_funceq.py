@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from jmokit import funceq
 from jmokit.funceq import (
     BASE_ONE,
     BASE_TWO,
@@ -404,3 +405,32 @@ def test_parse_table_matches_line_parser_on_random_tables():
     for _ in range(1500):
         text = random_table_text(rng)
         assert parse_outcome(parse_table, text) == parse_outcome(reference_parse_table, text), text
+
+
+# -- the block-by-block table parse --------------------------------------------
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 16])
+def test_parse_table_in_small_blocks_matches_line_parser(monkeypatch, block):
+    # blocks cut after a line feed hold whole lines, whatever their size
+    monkeypatch.setattr(funceq, "BLOCK", block)
+    rng = random.Random(block)
+    texts = MALFORMED_TABLES + [random_table_text(rng) for _ in range(300)]
+    for text in texts:
+        assert parse_outcome(parse_table, text) == parse_outcome(reference_parse_table, text), text
+
+
+def test_parse_table_over_several_blocks():
+    # about 240 KB: four blocks at the default BLOCK
+    n = 30000
+    lines = [f"{k} 1" for k in range(1, n + 1)]
+    assert parse_table("\n".join(lines)).limit == n
+    swapped = lines[:]
+    swapped[-2], swapped[-1] = swapped[-1], swapped[-2]  # n leaves the order in the last block
+    assert parse_table("\n".join(swapped)).limit == n
+    bad = lines[:-1] + ["1 1"]
+    with pytest.raises(ValueError, match=f"line {n}: duplicate entry for n = 1"):
+        parse_table("\n".join(bad))
+    bad = lines[:-1] + [f"{n} x"]
+    with pytest.raises(ValueError, match=f"line {n}: invalid literal"):
+        parse_table("\n".join(bad))
