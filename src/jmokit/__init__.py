@@ -11,8 +11,8 @@ pinopt      fewest pin moves for a target triangle area (Problem 4)
 gcdperfect  gcd-perfect sets and the power-of-2 classification (Problem 5)
 cyclic      the cyclic 2n-equation system and its unique solution (Problem 6)
 cli         one command-line entry point over all of the above
-scan        one-pass, cost-bounded, blocked lattice-triangle scan (numpy), imported
-            only when pins oracle runs; scan is the only numpy user
+scan        cost-bounded lattice-triangle pair scan in plain integers, imported
+            only when pins oracle runs
 """
 
 __version__ = "0.1.0"

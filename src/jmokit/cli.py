@@ -16,9 +16,8 @@ and run() maps it to exit 2 in one place.
 A fresh call pays only for the subcommand it runs.  The module itself loads
 pinopt (and through it kernel); every other layer is imported by the
 handlers that use it, so gcdset loads gcdperfect, pack tripack (and svg to
-render), cyclic cyclic, funceq funceq, and rect rectconcur (and svg).  The
-one numpy-backed layer, scan behind pinopt.oracle_min_moves, is imported
-only when pins oracle runs, so no other subcommand loads numpy.
+render), cyclic cyclic, funceq funceq, and rect rectconcur (and svg); scan,
+behind pinopt.oracle_min_moves, is imported only when pins oracle runs.
 
 One parser per process is shared by every run() call; parse_args gives each
 call a fresh Namespace, so no state carries over.  It is built group by

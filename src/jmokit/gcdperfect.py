@@ -201,6 +201,8 @@ def search_size(
         raise ValueError("target_size must be >= 1")
     if max_element > 10**4:
         raise ValueError("max_element above 10^4 is not supported")
+    if node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
     pool = [s for s in range(1, max_element + 1)
             if factorize(s).divisor_count == target_size]
     n = len(pool)

@@ -31,8 +31,10 @@ from typing import NamedTuple
 from .kernel import LatticePoint, isqrt_ceil_of_sqrt, shoelace_doubled
 
 CERTIFIED_OPTIMAL = "certified_optimal"
-# oracle_min_moves refuses larger radii: at radius 1000 the scan's ball holds
-# about 2 * 10^6 points and takes seconds and hundreds of MB.
+# oracle_min_moves refuses larger radii.  The scan keeps the shells it has
+# walked, at most the whole ball: 2,002,001 points and about 240 MB at radius
+# 1000.  The bound limits that memory, not time, which grows with the doubled
+# area (about 3 s at D = 2000 and radius 90).
 MAX_ORACLE_RADIUS = 1000
 
 

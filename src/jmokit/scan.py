@@ -2,23 +2,21 @@
 
 The scan enumerates all triangles whose three vertices have L1 norm at most
 radius and whose total L1 cost is within a cap, and reports the cheapest one
-with a prescribed doubled area.  It is a one-pass numpy scan: each row only
-looks at partners cheap enough to beat the best cost so far, in blocks of at
-most 2**15 matrix entries or one row, so memory grows linearly with the
-number of points, not quadratically.
+with a prescribed doubled area.  It is a pair scan in plain integers: points
+are walked in (cost, x, y) order, shell by shell, only as far as the cost
+bound reaches, and for each pair (i, j) the third vertices k with
+|cross(p_j - p_i, p_k - p_i)| = D lie on two lattice lines parallel to
+p_j - p_i, found by a modular inverse.  Only the points of those lines
+whose x (or y) stays within the remaining cost are visited, so the scan
+holds the points of the shells it has walked and nothing else.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
+import math
 
 from .kernel import LatticePoint
-
-# Entries in the (block of j) x (range of k) matrices of one unit: 256 KB
-# per int64 temporary, unless one row is longer (radius 128 and up).  Blocks
-# this small follow the cost bound on k closely; below 2**13, per-block
-# overhead takes over.
-_BLOCK = 1 << 15
 
 
 def backend_name() -> str:
@@ -27,15 +25,21 @@ def backend_name() -> str:
     return "python"
 
 
-def ball_points(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All lattice points with L1 norm <= radius, sorted by (cost, x, y)."""
-    x = np.arange(-radius, radius + 1, dtype=np.int64)
-    half = radius - np.abs(x)  # column x holds y in [-half, half]
-    px = np.repeat(x, 2 * half + 1)
-    py = np.concatenate([np.arange(-h, h + 1, dtype=np.int64) for h in half])
-    cost = np.abs(px) + np.abs(py)
-    order = np.lexsort((py, px, cost))
-    return cost[order], px[order], py[order]
+def _shell(cost: int) -> list[tuple[int, int, int]]:
+    """The points of L1 norm cost, for cost >= 1, as (cost, x, y) in (x, y) order."""
+    pts = [(cost, -cost, 0)]
+    for x in range(1 - cost, cost):
+        h = cost - abs(x)
+        pts += ((cost, x, -h), (cost, x, h))
+    pts.append((cost, cost, 0))
+    return pts
+
+
+def _steps(v: int, c: int, r: int) -> tuple[int, int]:
+    """Least and greatest integer t with |v + t*c| <= r, for c != 0."""
+    if c < 0:
+        v, c = -v, -c
+    return -((r + v) // c), (r - v) // c
 
 
 def min_cost_triangle(
@@ -47,63 +51,66 @@ def min_cost_triangle(
     cost to cost_cap.  The witness is canonical: lexicographically first
     index triple, over points sorted by (cost, x, y), among all minimum-cost
     matches.
+
+    Pairs (i, j), i < j, are visited in lexicographic order.  A triple
+    cheaper than the best so far has 3*c_i < best, c_j <= (best - 1 - c_i)
+    // 2 and c_k <= r = min(radius, best - 1 - c_i - c_j), so the shells are
+    walked only as far as c_j needs, and each pair takes its least
+    (c_k, x_k, y_k) with c_k <= r.  With u = p_j - p_i, such a k has
+    cross(u, p_k) = cross(u, p_i) +- D and |cross(u, p_k)| <=
+    r * max(|u_x|, |u_y|), which rules out most pairs.  Every cross product
+    with u is a multiple of g = gcd(u), so the pair is also skipped unless g
+    divides D.  Otherwise, with (a, b) = u / g and w one solution of
+    a*w_y - b*w_x = D / g, the k are p_i +- w + t*(a, b), and t is bounded
+    through |x| <= r, or |y| <= r when |b| > |a|.
+
+    A pair records its k only when the triple is strictly cheaper than the
+    best so far, so the first pair to reach the final minimum keeps the
+    canonical triple.  No k that comes before j is ever found: the sorted
+    triple's first pair came earlier, so best is already at most its cost.
     """
     if doubled_area < 1:
         raise ValueError("doubled_area must be >= 1")
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    cost, px, py = ball_points(radius)
-    hit = _scan(cost, px, py, doubled_area, cost_cap)
+    best, hit = cost_cap + 1, None
+    pts, top = [(0, 0, 0)], 0  # the shells of cost 0 .. top, in (cost, x, y) order
+    i = 0
+    while i < len(pts) and 3 * pts[i][0] < best:
+        ci, xi, yi = pts[i]
+        for j in itertools.count(i + 1):
+            if j == len(pts):
+                if top == radius:
+                    break
+                top += 1
+                pts += _shell(top)
+            cj, xj, yj = pts[j]
+            if 2 * cj >= best - ci:
+                break
+            ux, uy = xj - xi, yj - yi
+            r = min(radius, best - 1 - ci - cj)
+            if abs(abs(ux * yi - uy * xi) - doubled_area) > r * max(abs(ux), abs(uy)):
+                continue
+            g = math.gcd(ux, uy)
+            if doubled_area % g:
+                continue
+            a, b, m = ux // g, uy // g, doubled_area // g
+            if b:
+                wy = m * pow(a, -1, abs(b))
+                wx = (a * wy - m) // b
+            else:  # a = +-1, and the lines at w and -w give both signs of D
+                wx, wy = 0, m
+            found = None
+            for qx, qy in ((xi + wx, yi + wy), (xi - wx, yi - wy)):
+                lo, hi = _steps(qx, a, r) if abs(a) >= abs(b) else _steps(qy, b, r)
+                for t in range(lo, hi + 1):
+                    x, y = qx + t * a, qy + t * b
+                    k = (abs(x) + abs(y), x, y)
+                    if k[0] <= r and (found is None or k < found):
+                        found = k
+            if found is not None:
+                best, hit = ci + cj + found[0], (pts[i], pts[j], found)
+        i += 1
     if hit is None:
         return None
-    best, i, j, k = hit
-    pins = tuple(
-        LatticePoint(int(px[idx]), int(py[idx])) for idx in (i, j, k)
-    )
-    return int(best), pins
-
-
-def _scan(cost: np.ndarray, px: np.ndarray, py: np.ndarray,
-          target: int, cost_cap: int):
-    """Return (best_cost, i, j, k) with i <= j <= k, or None.
-
-    The arrays must be int64 and sorted by (cost, x, y).  Among the triples
-    whose triangle has the target doubled area and whose total cost is
-    within cost_cap, the result is the cheapest, and the lexicographically
-    first among equally cheap ones.
-
-    One pass over units (i, block of j) in lexicographic order.  A triple
-    cheaper than the best so far has c_j <= (best - 1 - c_i) // 2 and
-    c_k <= best - 1 - c_i - c_j, so each block takes its rows j and its
-    columns k from prefixes of the sorted costs, found again before every
-    block with c_j read at the block's first j.  Columns start at that j,
-    and a block is one row or at most _BLOCK matrix entries.  A unit
-    records its first cheapest match only when it is strictly cheaper than
-    the best so far, so the first unit to reach the final minimum keeps
-    the canonical triple.
-    """
-    best, hit = cost_cap + 1, None
-    for i in range(len(cost)):
-        ci = int(cost[i])
-        if 3 * ci >= best:
-            break
-        a = i
-        while True:
-            j_end = int(np.searchsorted(cost, (best - 1 - ci) // 2, side="right"))
-            if a >= j_end:
-                break
-            m = int(np.searchsorted(cost, best - 1 - ci - int(cost[a]), side="right"))
-            b = min(j_end, a + max(1, _BLOCK // (m - a)))
-            dx = px[a:m] - px[i]
-            dy = py[a:m] - py[i]
-            cross = dx[:b - a, None] * dy - dy[:b - a, None] * dx
-            jk = np.argwhere(np.abs(cross) == target)  # (j - a, k - a) in lex order
-            jk = jk[jk[:, 1] >= jk[:, 0]] + a
-            if len(jk):
-                tot = ci + cost[jk[:, 0]] + cost[jk[:, 1]]
-                t = int(np.argmin(tot))  # first of the cheapest
-                if tot[t] < best:
-                    best = int(tot[t])
-                    hit = (best, i, int(jk[t, 0]), int(jk[t, 1]))
-            a = b
-    return hit
+    return best, tuple(LatticePoint(x, y) for _, x, y in hit)

@@ -179,6 +179,8 @@ ERROR_FILES = {
                      "bad entries file: entries must be finite", id="inf-entries"),
         pytest.param(("gcdset", "search", "--size", "2", "--max", "100", "--budget", "0"),
                      "search node budget exceeded (0 nodes)", id="budget-zero"),
+        pytest.param(("gcdset", "search", "--size", "4", "--max", "0", "--budget", "-1"),
+                     "node_budget must be >= 0, got -1", id="budget-negative"),
         pytest.param(("gcdset", "check", "--elements", "1000000000000000003,2"),
                      "element 1000000000000000003 is above 10^12", id="check-element-bound"),
         pytest.param(("gcdset", "construct", "--k", "1", "--p", "1000000000000000003",
@@ -628,13 +630,14 @@ print(code, "numpy" in sys.modules)
         (("gcdset", "check", "--elements", "6,14,15,35"), False),
         (("funceq", "trace", "--limit", "50"), False),
         (("rect", "batch", "--count", "3"), False),
-        (("pins", "oracle", "--doubled-area", "2", "--radius", "3"), True),
+        (("pins", "oracle", "--doubled-area", "2", "--radius", "3"), False),
         (("cyclic", "solve", "--n", "4", "--seed", "3"), False),
         (("cyclic", "verify", "--input", "{tmp}/canonical.ent"), False),
     ],
 )
 def test_numpy_loads_only_for_oracle(tmp_path, argv, loads_numpy):
-    # a fresh interpreter per case, so nothing imported by other tests counts
+    # a fresh interpreter per case, so nothing imported by other tests counts;
+    # since the oracle scan runs in plain integers, no subcommand loads numpy
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -668,6 +671,7 @@ print(code, *sorted(m for m in sys.modules if m.startswith("jmokit.") or m == "n
         (("cyclic", "solve", "--n", "4", "--seed", "3"), "cyclic"),
         (("funceq", "trace", "--limit", "50"), "funceq"),
         (("rect", "batch", "--count", "3"), "rectconcur"),
+        (("pins", "oracle", "--doubled-area", "2", "--radius", "3"), "scan"),
     ],
 )
 def test_a_fresh_call_imports_only_its_layer(argv, layer):
@@ -679,13 +683,13 @@ def test_a_fresh_call_imports_only_its_layer(argv, layer):
 
 
 def test_no_module_loads_dataclasses():
-    # a fresh interpreter importing every module, scan (and so numpy) included
+    # a fresh interpreter importing every module, scan included
     probe = ("import importlib, pkgutil, sys, jmokit\n"
              "for m in pkgutil.iter_modules(jmokit.__path__): importlib.import_module('jmokit.' + m.name)\n"
              "print('numpy' in sys.modules, 'dataclasses' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=fresh_env(),
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.split() == ["True", "False"]
+    assert done.stdout.split() == ["False", "False"]
 
 
 EXPONENT_PROBE = """

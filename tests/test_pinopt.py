@@ -126,8 +126,10 @@ def test_bounding_box_dominates_doubled_area():
 
 
 def reference_min_cost_triangle(doubled_area, radius, cost_cap):
-    """Plain triple loop over ball_points: cheapest, then first (i, j, k)."""
-    cost, px, py = (a.tolist() for a in scan.ball_points(radius))
+    """Plain triple loop over points sorted by (cost, x, y): cheapest, then first (i, j, k)."""
+    cost, px, py = zip(*sorted((abs(x) + abs(y), x, y)
+                               for x in range(-radius, radius + 1)
+                               for y in range(-(radius - abs(x)), radius - abs(x) + 1)))
     n = len(cost)
     best = None
     for i in range(n):
@@ -145,12 +147,19 @@ def reference_min_cost_triangle(doubled_area, radius, cost_cap):
 
 
 def scan_reference_cases():
-    """34 (doubled area, radius, cap) cases with radius <= 8."""
+    """45 (doubled area, radius, cap) cases with radius <= 8."""
     rng = random.Random(23)
     cases = [(d, lower_bound(d), 2 * lower_bound(d)) for d in range(1, 17)]
     cases += [(rng.randint(1, 40), r, rng.randint(r, 2 * r))
               for r in (rng.randint(2, 5) for _ in range(16))]
     cases += [(50, 1, 2), (30, 4, 5)]  # out of reach: both give None
+    # winning pairs (i, j) with p_j - p_i horizontal, with p_j - p_i = (a, +-1)
+    # and a != 0, and with two k at the cost of j, where (x, y) decides
+    cases += [(2, 2, 4), (11, 4, 8), (9, 3, 6)]
+    # pairs with gcd(p_j - p_i) > 1 not dividing D, which must be skipped
+    cases += [(7, 2, 6), (5, 3, 6)]
+    # caps above 2 * radius (the radius bounds k) and below the radius
+    cases += [(3, 1, 5), (3, 2, 7), (2, 1, 3), (23, 4, 12), (1, 3, 2), (6, 4, 3)]
     return cases
 
 
@@ -160,35 +169,28 @@ def test_scan_matches_triple_loop_reference():
         assert scan.min_cost_triangle(doubled, radius, cap) == expected, (doubled, radius, cap)
 
 
-@pytest.mark.parametrize("block", [1, 7])
-def test_scan_chunk_boundaries_match_reference(monkeypatch, block):
-    # blocks of one row, and blocks cut mid-row: every unit boundary is exercised
-    monkeypatch.setattr(scan, "_BLOCK", block)
-    for doubled, radius, cap in scan_reference_cases():
-        expected = reference_min_cost_triangle(doubled, radius, cap)
-        assert scan.min_cost_triangle(doubled, radius, cap) == expected, (block, doubled, radius, cap)
-
-
 def test_scan_memory_is_bounded():
-    # 20,201 points at radius 100: one n x n int64 matrix would take 3 GB
-    tracemalloc.start()
-    try:
-        hit = scan.min_cost_triangle(4, 100, 200)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert hit is not None and hit[0] == 4
-    assert peak < 64 * 2**20, peak
+    # the ball holds 20,201 points at radius 100 and 2,002,001 at 1000; the
+    # scan walks only the shells the cost bound reaches
+    for radius in (100, 1000):
+        tracemalloc.start()
+        try:
+            hit = scan.min_cost_triangle(4, radius, 2 * radius)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hit is not None and hit[0] == 4
+        assert peak < 2**20, (radius, peak)
 
 
 def test_ball_points_match_sorted_tuples():
+    # shells 0, 1, ..., radius in turn give the points in (cost, x, y) order
     for radius in range(1, 41):
         pts = sorted((abs(x) + abs(y), x, y)
                      for x in range(-radius, radius + 1)
                      for y in range(-(radius - abs(x)), radius - abs(x) + 1))
-        arrays = scan.ball_points(radius)
-        assert all(a.dtype == np.int64 for a in arrays)
-        assert [a.tolist() for a in arrays] == [list(column) for column in zip(*pts)], radius
+        shells = [(0, 0, 0)] + [p for c in range(1, radius + 1) for p in scan._shell(c)]
+        assert shells == pts, radius
 
 
 def closed_form_member(doubled_area):
