@@ -6,12 +6,14 @@ tables), rect (rectangle concurrency certificates).
 
 Every run produces a report envelope; --json prints it as canonical JSON
 (sorted keys, no timestamps), so identical inputs give byte-identical
-output.  Wall-clock timings are filled in only with --timings.  Exit codes:
-0 for success verdicts (an empty search result is a result, not an error),
-1 for checked failures (violations found, certification failed), 2 for
-usage errors, malformed inputs, and exhausted budgets.  Every error that
-exits 2 is a ValueError (UsageError and gcdperfect.BudgetExceeded included),
-and run() maps it to exit 2 in one place.
+output.  _dump writes it in the bytes of json.dumps(sort_keys=True,
+indent=2) with str.join, since that indented layout makes json run its
+pure-Python encoder.  Wall-clock timings are filled in only with --timings.
+Exit codes: 0 for success verdicts (an empty search result is a result, not
+an error), 1 for checked failures (violations found, certification failed),
+2 for usage errors, malformed inputs, and exhausted budgets.  Every error
+that exits 2 is a ValueError (UsageError and gcdperfect.BudgetExceeded
+included), and run() maps it to exit 2 in one place.
 
 A fresh call pays only for the subcommand it runs.  The module itself loads
 pinopt (and through it kernel); every other layer is imported by the
@@ -31,11 +33,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, pinopt
 
@@ -52,12 +54,87 @@ def _envelope(args: argparse.Namespace, inputs: dict, **fields) -> dict:
     return env
 
 
+def _finite_repr(o: float) -> str:
+    if not math.isfinite(o):
+        # json's own wording
+        raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+    return float.__repr__(o)
+
+
+# The JSON text of each scalar type an envelope holds, as json.dumps writes it.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _finite_repr,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda o: "null",
+}
+
+
+def _scalar(o) -> str:
+    return _SCALARS[type(o)](o)
+
+
+def _dump(o, append, pad: str) -> None:
+    """Append the JSON text of o, in the bytes of json.dumps(o, sort_keys=True,
+    indent=2, allow_nan=False), with pad the indent of the line o starts on.
+
+    Only the types an envelope holds are written: dicts with str keys, lists,
+    str, int, float, bool and None; anything else raises TypeError, and a
+    non-finite float raises json's ValueError.  A list of scalars is one
+    join, so a long list of rows costs few parts.
+    """
+    kind = type(o)
+    encode = _SCALARS.get(kind)
+    if encode is not None:
+        append(encode(o))
+    elif kind is dict:
+        if not o:
+            append("{}")
+            return
+        inner = pad + "  "
+        head = "{\n" + inner
+        for key in sorted(o):  # the quoter raises TypeError for a key that is no str
+            value = o[key]
+            encode = _SCALARS.get(type(value))
+            if encode is None:
+                append(f"{head}{encode_basestring_ascii(key)}: ")
+                _dump(value, append, inner)
+            else:
+                append(f"{head}{encode_basestring_ascii(key)}: {encode(value)}")
+            head = ",\n" + inner
+        append(f"\n{pad}}}")
+    elif kind is list:
+        if not o:
+            append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if set(map(type, o)) <= _SCALARS.keys():
+            append(f"[\n{inner}{sep.join(map(_scalar, o))}\n{pad}]")
+            return
+        head = "[\n" + inner
+        for value in o:
+            append(head)
+            _dump(value, append, inner)
+            head = sep
+        append(f"\n{pad}]")
+    else:
+        raise TypeError(f"{kind.__name__} is not an envelope type")
+
+
+def _json(o) -> str:
+    parts: list[str] = []
+    _dump(o, parts.append, "")
+    return "".join(parts)
+
+
 def _emit(env: dict, args: argparse.Namespace, human: list[str], started: float) -> None:
     if args.timings:
         env["timings"] = {"wall_s": round(time.perf_counter() - started, 6)}
     if args.json:
         try:
-            text = json.dumps(env, sort_keys=True, indent=2, allow_nan=False)
+            text = _json(env)
         except ValueError as exc:  # NaN and infinities are not JSON
             raise UsageError(f"the report holds a non-finite number: {exc}") from None
         print(text)

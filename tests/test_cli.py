@@ -3,10 +3,13 @@ import hashlib
 import json
 import math
 import os
+import random
 import resource
+import struct
 import subprocess
 import sys
 import xml.dom.minidom
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -85,8 +88,7 @@ def test_pack_build_side_bound(capsys, monkeypatch):
 
 
 def test_pins_oracle_radius_bound(capsys, monkeypatch):
-    # radius 1000 takes seconds and hundreds of MB; at a bound of 3 the
-    # radius 3 is scanned and 4 exits 2 before any scan
+    # at a bound of 3 the radius 3 is scanned and 4 exits 2 before any scan
     assert pinopt.MAX_ORACLE_RADIUS == 1000
     monkeypatch.setattr(pinopt, "MAX_ORACLE_RADIUS", 3)
     code, out = run_cli(capsys, "pins", "oracle", "--doubled-area", "2", "--radius", "3", "--json")
@@ -95,8 +97,22 @@ def test_pins_oracle_radius_bound(capsys, monkeypatch):
     assert "radius 4 is above the bound MAX_ORACLE_RADIUS = 3\n" in capsys.readouterr().err
 
 
+def test_pins_oracle_doubled_area_bound(capsys, monkeypatch):
+    # D = 2000 takes about 2 s at any radius; one above the bound exits 2
+    # before any scan, and the message quotes the bound in force
+    assert pinopt.MAX_ORACLE_DOUBLED_AREA == 2000
+    assert cli.run(["pins", "oracle", "--doubled-area", "2001", "--radius", "100"]) == 2
+    assert capsys.readouterr().err == (
+        "error: doubled area 2001 is above the bound MAX_ORACLE_DOUBLED_AREA = 2000\n")
+    monkeypatch.setattr(pinopt, "MAX_ORACLE_DOUBLED_AREA", 2)
+    code, out = run_cli(capsys, "pins", "oracle", "--doubled-area", "2", "--radius", "3", "--json")
+    assert code == 0 and json.loads(out)["cost"] == 3
+    assert cli.run(["pins", "oracle", "--doubled-area", "3", "--radius", "3"]) == 2
+    assert "doubled area 3 is above the bound MAX_ORACLE_DOUBLED_AREA = 2\n" in capsys.readouterr().err
+
+
 def test_rect_batch_count_bound(capsys, monkeypatch):
-    # 10^5 rows take seconds and about 200 MB; at a bound of 3 the count 3 is
+    # 10^5 rows take seconds and about 140 MB; at a bound of 3 the count 3 is
     # certified and 4 exits 2 before any configuration is built
     assert rectconcur.MAX_BATCH_COUNT == 10**5
     monkeypatch.setattr(rectconcur, "MAX_BATCH_COUNT", 3)
@@ -195,6 +211,8 @@ ERROR_FILES = {
                      "side 100000 is above the bound", id="pack-side-huge"),
         pytest.param(("pins", "oracle", "--doubled-area", "4", "--radius", "1001"),
                      "radius 1001 is above the bound", id="oracle-radius-bound"),
+        pytest.param(("pins", "oracle", "--doubled-area", "20000", "--radius", "283"),
+                     "doubled area 20000 is above the bound", id="oracle-area-bound"),
         pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "0"),
                      "max_iter must be >= 1, got 0", id="max-iter-zero"),
         pytest.param(("cyclic", "solve", "--n", "5", "--max-iter", "-5"),
@@ -524,6 +542,128 @@ def test_json_output_is_deterministic(capsys, argv):
     for key in ("tool", "version", "subcommand", "inputs", "timings"):
         assert key in env
     assert env["timings"] is None
+
+
+def json_dumps(value):
+    """The layout the envelope writer must reproduce byte for byte."""
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+# quotes, backslashes, control characters, non-ASCII, an astral character
+# and a lone surrogate: everything json escapes differently
+STRING_CHARS = ['"', "\\", "/", "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", "\x7f",
+                "é", "€", " ", "\U0001F600", "\ud800", "a", "Z", " ", "0", ":", ","]
+FLOATS = [0.0, -0.0, 0.1, -0.1, 1 / 3, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+          1e300, -1e300, 1.7976931348623157e308, 1e16, 1e-7, 123456789.0, 2.5]
+INTS = [0, 1, -1, 2**63, -(2**63) - 1, 10**30, -(10**40), 7**100]
+
+
+def random_string(rng):
+    return "".join(rng.choice(STRING_CHARS) for _ in range(rng.randrange(6)))
+
+
+def random_float(rng):
+    if rng.random() < 0.5:
+        return rng.choice(FLOATS)
+    while True:  # any finite bit pattern, subnormals included
+        value = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if math.isfinite(value):
+            return value
+
+
+def random_value(rng, depth):
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return random_string(rng)
+    if kind == 1:
+        return rng.choice(INTS) if rng.random() < 0.3 else rng.randrange(-10**6, 10**6)
+    if kind == 2:
+        return random_float(rng)
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind == 4:  # scalars of one type, as envelopes hold them
+        make = rng.choice([random_float, lambda r: r.randrange(-99, 99), random_string])
+        return [make(rng) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return rng.choice([{}, []])
+    if kind == 6:
+        return [random_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    return {random_string(rng): random_value(rng, depth + 1) for _ in range(rng.randrange(6))}
+
+
+def test_json_writer_matches_json_dumps_on_random_values():
+    rng = random.Random(19)
+    for _ in range(3000):
+        value = random_value(rng, 0)
+        assert cli._json(value) == json_dumps(value)
+    # the writer starts from a dict of mixed containers, as _emit does
+    for _ in range(300):
+        env = {random_string(rng): random_value(rng, 1) for _ in range(rng.randrange(1, 8))}
+        assert cli._json(env) == json_dumps(env)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_non_finite_floats_with_json_wording(bad):
+    for value in (bad, {"a": bad}, {"rows": [1.0, bad]}, [1, "x", [bad]], [None, bad]):
+        with pytest.raises(ValueError) as ours:
+            cli._json(value)
+        with pytest.raises(ValueError) as theirs:
+            json_dumps(value)
+        assert str(ours.value) == str(theirs.value)
+        assert str(ours.value) == f"Out of range float values are not JSON compliant: {bad!r}"
+
+
+class Real(float):
+    pass
+
+
+@pytest.mark.parametrize("value", [(1, 2), {1, 2}, Fraction(1, 3), Real(1.5), b"x",
+                                   {1: "int key"}, {"a": [1, (2,)]}, [[object()]]],
+                         ids=["tuple", "set", "fraction", "float-subclass", "bytes",
+                              "int-key", "nested-tuple", "object"])
+def test_json_writer_refuses_types_envelopes_do_not_hold(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+# every subcommand exercised in this file, in an order where each file is
+# written before it is read
+ENVELOPE_CALLS = [
+    ("pins", "solve", "--doubled-area", "4042"),
+    ("pins", "oracle", "--doubled-area", "2", "--radius", "3"),
+    ("gcdset", "check", "--elements", "6,14,15,35"),
+    ("gcdset", "check", "--elements", "2"),
+    ("gcdset", "construct", "--k", "2", "--p", "2,3", "--q", "5,7"),
+    ("gcdset", "search", "--size", "2", "--max", "30"),
+    ("gcdset", "search", "--size", "3", "--max", "100"),
+    ("pack", "build", "--side", "6", "--out", "{tmp}/p.txt"),
+    ("pack", "build", "--side", "29/2", "--margin", "1/2", "--timings"),
+    ("pack", "validate", "--input", "{tmp}/p.txt"),
+    ("pack", "validate", "--input", "{tmp}/tiny_side.txt"),
+    ("pack", "render", "--input", "{tmp}/p.txt", "--svg", "{tmp}/p.svg"),
+    ("cyclic", "solve", "--n", "4", "--seed", "7", "--out", "{tmp}/c.ent"),
+    ("cyclic", "solve", "--n", "4", "--init", "{tmp}/huge_start.ent", "--max-iter", "20"),
+    ("cyclic", "verify", "--input", "{tmp}/c.ent"),
+    ("cyclic", "verify", "--input", "{tmp}/ones.ent"),
+    ("funceq", "check", "--input", "{tmp}/mutated.tab"),
+    ("funceq", "trace", "--limit", "50"),
+    ("rect", "batch", "--count", "5", "--seed", "1", "--perturb", "1.05"),
+    ("rect", "batch", "--count", "300", "--seed", "123456"),
+    ("rect", "render", "--seed", "3", "--svg", "{tmp}/r.svg"),
+]
+
+
+def test_every_envelope_is_in_the_json_dumps_layout(capsys, tmp_path):
+    (tmp_path / "tiny_side.txt").write_text("1e-400\n1 1\n")
+    (tmp_path / "huge_start.ent").write_text("1e200\n" * 8)
+    (tmp_path / "ones.ent").write_text("1.0\n" * 8)
+    (tmp_path / "mutated.tab").write_text("".join(f"{n} {2 if n == 5 else 1}\n"
+                                                  for n in range(1, 11)))
+    for argv in ENVELOPE_CALLS:
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv] + ["--json"]
+        code, out, err = call_outputs(capsys, argv)
+        assert code in (0, 1) and err == "", argv
+        assert out == json_dumps(json.loads(out)) + "\n", argv
 
 
 def call_outputs(capsys, argv):
