@@ -488,7 +488,7 @@ def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     if args.count > rectconcur.MAX_BATCH_COUNT:
         raise UsageError(f"--count must be <= {rectconcur.MAX_BATCH_COUNT} "
-                         f"(each row holds about 2 KB), got {args.count}")
+                         f"(each row holds about 1.3 KB), got {args.count}")
     if args.rel_tol <= 0:
         raise UsageError(f"--rel-tol must be > 0, got {args.rel_tol}")
     rng = random.Random(args.seed)

@@ -24,7 +24,6 @@ for it, so a replay holds one chunk plus a bitmap of one byte per n.
 from __future__ import annotations
 
 import functools
-import re
 from itertools import count
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -38,10 +37,6 @@ _BASE_ONE, _BASE_TWO, _ODD, _EVEN = range(4)
 CHUNK = 1 << 14          # steps per trace chunk; even, so every chunk starts at an odd target
 MAX_TRACE_LIMIT = 10**8  # the replay bitmap takes one byte per n: 100 MB at the bound
 BLOCK = 1 << 16          # characters parse_table reads at a time
-
-# A '#' comment runs to the next line break, as str.splitlines breaks lines.
-# Compiled by re.sub on first use, so imports that parse no table skip it.
-_COMMENT = "#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*"
 
 
 class FunctionTable:
@@ -278,60 +273,52 @@ def _count_rules(rule_counts: dict[str, int], names: tuple[str, ...],
 def parse_table(text: str) -> FunctionTable:
     """Parse "n value" lines (blank lines and #-comments ignored).
 
-    The text is read in blocks of about BLOCK characters, each cut right
-    after a line feed, so a block's lines, comments and tokens are those of
-    the whole text.  One split() of a comment-free block gives its n and
-    value columns.  A table listing n = 1..N in order keeps only its value
-    column; the n column is kept from the first block where n leaves that
-    order.  Only when a line is at fault (a field count, a non-integer,
-    n < 1 or a repeated n) are the lines walked one by one, so that the
-    error names the first offending physical line.
+    A table that lists n = 1, 2, ... in order is read in blocks of about
+    BLOCK characters, each cut right after a line feed, so a block's lines,
+    comments and tokens are those of the whole text.  One split() of a
+    block, with its comments stripped, gives its n and value columns, and
+    only the value column is kept.  Any other text (a line without two
+    fields, a non-integer, or an n that is out of order, repeated or below
+    1) is read again by _parse_lines.
     """
     values: list[int] = []
-    ns: list[int] | None = None  # the n column, once n leaves 1, 2, ...
     start = 0
     while start < len(text):
         cut = text.find("\n", start + BLOCK) + 1 or len(text)
         block = text[start:cut]
         start = cut
         if "#" in block:
-            block = re.sub(_COMMENT, "", block)
+            block = "\n".join([line.split("#", 1)[0] for line in block.splitlines()])
         if not set(map(len, map(str.split, block.splitlines()))) <= {0, 2}:  # two fields a line
-            _raise_line_error(text)
+            return _parse_lines(text)
         tokens = block.split()
         try:
             block_ns, block_values = list(map(int, tokens[0::2])), list(map(int, tokens[1::2]))
         except ValueError:  # a field that is not an integer
-            _raise_line_error(text)
-        if ns is None and block_ns != list(range(len(values) + 1, len(values) + len(block_ns) + 1)):
-            ns = list(range(1, len(values) + 1))
-        if ns is not None:
-            ns += block_ns
+            return _parse_lines(text)
+        if block_ns != list(range(len(values) + 1, len(values) + len(block_ns) + 1)):
+            return _parse_lines(text)
         values += block_values
-    if ns is None:
-        return FunctionTable(values)
-    if min(ns, default=1) < 1 or len(set(ns)) < len(ns):
-        _raise_line_error(text)
-    return FunctionTable(dict(zip(ns, values)))  # n out of order, or missing
+    return FunctionTable(values)
 
 
-def _raise_line_error(text: str) -> None:
-    """Raise for the first line that is malformed, has n < 1 or repeats an n;
-    parse_table calls it only when such a line exists."""
-    seen: set[int] = set()
+def _parse_lines(text: str) -> FunctionTable:
+    """Parse line by line into a dict, for a table the block reader does not
+    take; an error names the first offending physical line."""
+    values: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'n value', got {raw!r}")
         try:
-            n, _ = int(parts[0]), int(parts[1])
+            n, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         if n < 1:
             raise ValueError(f"line {lineno}: n = {n} is not a positive integer")
-        if n in seen:
+        if n in values:
             raise ValueError(f"line {lineno}: duplicate entry for n = {n}")
-        seen.add(n)
+        values[n] = v
+    return FunctionTable(values)

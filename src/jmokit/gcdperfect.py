@@ -187,8 +187,10 @@ def search_size(
     superset, so a level walks only the candidates that pass every check.
     No pool member divides another (a | x with a != x gives d(x) > d(a)),
     so gcd(a, x) = a never needs a check.  The last member needs no mask;
-    each full-size set is decided by is_gcd_perfect.  For target sizes that
-    are not powers of 2 the result is empty.
+    each full-size set is decided by is_gcd_perfect, reading the pool
+    filter's factorizations from one dict that every set shares, so each
+    number is factorized once.  For target sizes that are not powers of 2
+    the result is empty.
 
     The masks are unions of per-member tables {g: bits of x with
     gcd(pool[a], pool[x]) == g}, built on first use.  Pair masks are cached,
@@ -203,8 +205,9 @@ def search_size(
         raise ValueError("max_element above 10^4 is not supported")
     if node_budget < 0:
         raise ValueError(f"node_budget must be >= 0, got {node_budget}")
-    pool = [s for s in range(1, max_element + 1)
-            if factorize(s).divisor_count == target_size]
+    facts = {s: f for s in range(1, max_element + 1)
+             if (f := factorize(s)).divisor_count == target_size}
+    pool = list(facts)
     n = len(pool)
     tables: list[Optional[dict[int, int]]] = [None] * n
     pairs: dict[int, int] = {}  # i * n + j -> the pair's exclusion mask, i < j
@@ -246,11 +249,8 @@ def search_size(
             j = low.bit_length() - 1
             if leaf:
                 candidate = GcdSet([pool[i] for i in chosen] + [pool[j]])
+                candidate._facts = facts
                 if is_gcd_perfect(candidate).verdict:
-                    # drop the check's factorizations, about 1.2 kB a set: the
-                    # 66,453 sets of size 4 up to 3000 peaked at 133 MB with
-                    # them and 52 MB without
-                    candidate._facts.clear()
                     found.append(candidate)
                 continue
             excl = 0

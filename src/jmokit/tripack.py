@@ -336,9 +336,8 @@ def validate_packing(instance: PackingInstance) -> PackingReport:
     side = instance.side_len
     forms = instance.forms
 
-    first_outside = next(
-        (idx for idx, f in enumerate(forms) if not _inside(*f, side, Fraction(0))), None
-    )
+    zero = Fraction(0)
+    first_outside = next((idx for idx, f in enumerate(forms) if not _inside(*f, side, zero)), None)
     first_overlap = next(_overlapping_pairs(forms), None)
 
     bound_ok = Fraction(n) <= Fraction(2, 3) * side * side

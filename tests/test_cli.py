@@ -119,7 +119,8 @@ def test_rect_batch_count_bound(capsys, monkeypatch):
     code, out = run_cli(capsys, "rect", "batch", "--count", "3", "--json")
     assert code == 0 and len(json.loads(out)["rows"]) == 3
     assert cli.run(["rect", "batch", "--count", "4"]) == 2
-    assert "--count must be <= 3" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --count must be <= 3 (each row holds about 1.3 KB), got 4\n")
 
 
 def test_gcdset_construct(capsys):

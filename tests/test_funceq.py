@@ -434,3 +434,59 @@ def test_parse_table_over_several_blocks():
     bad = lines[:-1] + [f"{n} x"]
     with pytest.raises(ValueError, match=f"line {n}: invalid literal"):
         parse_table("\n".join(bad))
+
+
+# -- which tables the block reader takes ----------------------------------------
+
+
+class LineParse(Exception):
+    pass
+
+
+def refuse_line_parse(text):
+    raise LineParse
+
+
+def in_order_lines(n):
+    return [f"{k} 1" for k in range(1, n + 1)]
+
+
+FAST_PATH_TABLES = {
+    "one block": "\n".join(in_order_lines(50)),
+    "four blocks": "\n".join(in_order_lines(50000)),
+    "CRLF": "\r\n".join(in_order_lines(3000)) + "\r\n",
+    "blank lines": "\n\n1 1\n\n  \n2 1\n\t\n3 1\n\n",
+    "header comment": "# f(n) = 1\n" + "\n".join(in_order_lines(3000)),
+    "comment on every line": "\n".join(f"{k} 1  # n = {k}" for k in range(1, 3001)),
+}
+
+
+@pytest.mark.parametrize("name", FAST_PATH_TABLES)
+def test_in_order_tables_skip_the_line_parser(monkeypatch, name):
+    text = FAST_PATH_TABLES[name]
+    expected = parse_outcome(reference_parse_table, text)
+    monkeypatch.setattr(funceq, "_parse_lines", refuse_line_parse)
+    assert parse_outcome(parse_table, text) == expected
+    if name == "four blocks":
+        assert len(text) > 4 * funceq.BLOCK
+
+
+def swapped_in_last_block():
+    lines = in_order_lines(50000)
+    lines[-2], lines[-1] = lines[-1], lines[-2]
+    return "\n".join(lines)
+
+
+LINE_PARSE_TABLES = {
+    "swapped pair in the last block": swapped_in_last_block(),
+    "repeated n": "1 1\n2 1\n2 1\n3 1\n",
+    "n = 0": "0 1\n1 1\n2 1\n",
+    "non-integer field": "1 1\n2 one\n3 1\n",
+}
+
+
+@pytest.mark.parametrize("name", LINE_PARSE_TABLES)
+def test_other_tables_reach_the_line_parser(monkeypatch, name):
+    monkeypatch.setattr(funceq, "_parse_lines", refuse_line_parse)
+    with pytest.raises(LineParse):
+        parse_table(LINE_PARSE_TABLES[name])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from jmokit import gcdperfect
 from jmokit.gcdperfect import (
     BudgetExceeded,
     GcdSet,
@@ -276,3 +277,16 @@ def test_prime_membership_count():
                 in_set = sum(1 for t in s_set if t % p == 0)
                 in_divs = sum(1 for d in s_set.factorization(s).divisors() if d % p == 0)
                 assert in_set == in_divs
+
+
+def test_search_factorizes_each_number_once(monkeypatch):
+    # the leaf checks read the pool filter's factorizations
+    calls = []
+
+    def counting_factorize(s):
+        calls.append(s)
+        return factorize(s)
+
+    monkeypatch.setattr(gcdperfect, "factorize", counting_factorize)
+    found = search_size(4, 200)
+    assert found and sorted(calls) == list(range(1, 201))
