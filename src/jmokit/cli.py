@@ -8,7 +8,10 @@ Every run produces a report envelope; --json prints it as canonical JSON
 (sorted keys, no timestamps), so identical inputs give byte-identical
 output.  _dump writes it in the bytes of json.dumps(sort_keys=True,
 indent=2) with str.join, since that indented layout makes json run its
-pure-Python encoder.  Wall-clock timings are filled in only with --timings.
+pure-Python encoder.  A list of records that share one key set, such as the
+rows of rect batch, is written column by column (_records): one str.format
+template per list fills each record from one map per column.  Wall-clock
+timings are filled in only with --timings.
 Exit codes: 0 for success verdicts (an empty search result is a result, not
 an error), 1 for checked failures (violations found, certification failed),
 2 for usage errors, malformed inputs, and exhausted budgets.  Every error
@@ -37,7 +40,9 @@ import math
 import os
 import sys
 import time
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__, pinopt
 
@@ -75,14 +80,54 @@ def _scalar(o) -> str:
     return _SCALARS[type(o)](o)
 
 
+def _records(rows: list, pad: str):
+    """The JSON texts of rows, dicts that share one key set, each starting on
+    a line indented by pad, built column by column: one str.format template
+    per list, one map per column, a list column flattened into one map per
+    position.  None for any other shape, which _dump writes item by item:
+    each column must hold one scalar type, or lists of one nonzero length
+    that hold one scalar type, and no non-finite float, so that json's
+    traversal order picks the value its error names.
+    """
+    first = rows[0]
+    if set(map(type, first)) != {str} or set(map(len, rows)) != {len(first)}:
+        return None
+    inner, fields, columns = pad + "  ", [], []
+    try:
+        for key in sorted(first):
+            get = itemgetter(key)
+            (kind,) = set(map(type, map(get, rows)))  # KeyError: a key is missing
+            if kind is list:
+                (width,) = set(map(len, map(get, rows)))
+                (kind,) = set(map(type, chain.from_iterable(map(get, rows))))
+                cells = [map(itemgetter(i), map(get, rows)) for i in range(width)]
+                values = chain.from_iterable(map(get, rows))
+                deep = ",\n" + inner + "  "
+                text = f"[{deep[1:]}{deep.join(['{}'] * width)}\n{inner}]"
+            else:
+                cells, values, text = [map(get, rows)], map(get, rows), "{}"
+            encode = _SCALARS[kind]  # KeyError: a container
+            if kind is float:
+                if not all(map(math.isfinite, values)):
+                    return None
+                encode = float.__repr__
+            columns += [map(encode, cell) for cell in cells]
+            quoted = encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}")
+            fields.append(f"{inner}{quoted}: {text}")
+    except (KeyError, ValueError):  # ValueError: not one type, or not one length
+        return None
+    return map(("{{\n" + ",\n".join(fields) + f"\n{pad}}}}}").format, *columns)
+
+
 def _dump(o, append, pad: str) -> None:
     """Append the JSON text of o, in the bytes of json.dumps(o, sort_keys=True,
     indent=2, allow_nan=False), with pad the indent of the line o starts on.
 
     Only the types an envelope holds are written: dicts with str keys, lists,
     str, int, float, bool and None; anything else raises TypeError, and a
-    non-finite float raises json's ValueError.  A list of scalars is one
-    join, so a long list of rows costs few parts.
+    non-finite float raises json's ValueError.  A list of scalars, and a
+    list of records that _records takes, is one join, so a long list of rows
+    costs few parts.
     """
     kind = type(o)
     encode = _SCALARS.get(kind)
@@ -110,8 +155,13 @@ def _dump(o, append, pad: str) -> None:
             return
         inner = pad + "  "
         sep = ",\n" + inner
-        if set(map(type, o)) <= _SCALARS.keys():
+        kinds = set(map(type, o))
+        if kinds <= _SCALARS.keys():
             append(f"[\n{inner}{sep.join(map(_scalar, o))}\n{pad}]")
+            return
+        records = _records(o, inner) if kinds == {dict} else None
+        if records is not None:
+            append(f"[\n{inner}{sep.join(records)}\n{pad}]")
             return
         head = "[\n" + inner
         for value in o:
@@ -488,24 +538,30 @@ def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     if args.count > rectconcur.MAX_BATCH_COUNT:
         raise UsageError(f"--count must be <= {rectconcur.MAX_BATCH_COUNT} "
-                         f"(each row holds about 1.3 KB), got {args.count}")
+                         f"(each row holds about 1 KB), got {args.count}")
     if args.rel_tol <= 0:
         raise UsageError(f"--rel-tol must be > 0, got {args.rel_tol}")
-    rng = random.Random(args.seed)
+    if args.perturb <= 0:
+        raise UsageError(f"--perturb must be > 0, got {args.perturb}")
+    try:
+        batch = rectconcur.certify_batch(random.Random(args.seed), args.count, args.perturb)
+    except ValueError:  # the only one: a third height times --perturb rounds to 0
+        raise UsageError(f"--perturb {args.perturb} is too small: a third height "
+                         "times it rounds to 0") from None
     rows = []
     all_pass = True
     threshold = args.rel_tol
-    for index in range(args.count):
-        config = rectconcur.random_config(rng, args.perturb)
-        report = rectconcur.certify_concurrency(config)
-        passed = report.passes(threshold)
-        scale = report.scale
-        line_rel = report.line_defect / scale
-        circles_rel = [r / scale for r in report.circle_residuals]
-        if not (math.isfinite(line_rel) and all(map(math.isfinite, circles_rel))):
+    isfinite = math.isfinite
+    for index, (defect, r_bc, r_ca, r_ab, scale) in enumerate(batch):
+        bound = threshold * scale  # as ConcurrencyReport.passes tests
+        passed = defect <= bound and max(r_bc, r_ca, r_ab) <= bound
+        line_rel = defect / scale
+        circles_rel = [r_bc / scale, r_ca / scale, r_ab / scale]
+        if not (isfinite(line_rel) and all(map(isfinite, circles_rel))):
             raise UsageError(f"--perturb {args.perturb} is too large: the certificate "
                              f"of configuration {index} is not a finite number")
         all_pass = all_pass and passed
+        batch[index] = None  # the certificates and the rows never peak together
         rows.append({
             "index": index,
             "line_defect_rel": line_rel,

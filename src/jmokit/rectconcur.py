@@ -18,13 +18,17 @@ certificate is scale invariant.  This module is deliberately numeric: the
 constraint involves arctangents, so verdicts are certified by residual
 thresholds rather than exact arithmetic.
 
-The arithmetic is straight-line float code on unpacked coordinates.  A
-TriangleABC is a __slots__ class that checks its vertices and computes its
-three side lengths once, in __init__; the heights, the outward normals and
-the diameter all read them.  RectangleConfig and ConcurrencyReport are
-NamedTuples.  Each float expression is evaluated in one fixed operand
-order, so a seed gives the same configurations, residuals and random state
-bit for bit.
+The arithmetic is straight-line float code on unpacked coordinates, in
+three private kernels over one flat tuple of floats (the vertices, the side
+lengths, the heights and the six corners): _draw samples a configuration,
+_erect puts up the rectangles and _certify measures the certificate.
+random_config, build_config_with_heights and certify_concurrency wrap them
+in the objects: TriangleABC, a __slots__ class that checks its vertices and
+computes its three side lengths once, in __init__, and the NamedTuples
+RectangleConfig and ConcurrencyReport.  certify_batch runs _draw and
+_certify alone, row after row, and builds none of them.  Each float
+expression is evaluated in one fixed operand order, so a seed gives the same
+configurations, residuals and random state bit for bit on either route.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from typing import NamedTuple
 Pt = tuple[float, float]
 
 DEFAULT_REL_TOL = 1e-9
-# rect batch refuses larger counts: each row costs 11-15 us to draw, certify
-# and record, 7-11 us more to print, and about 1.3 KB with its text until
-# the envelope is printed, so a batch at the bound takes 2.2-2.6 s and
-# 142 MB (2-vCPU Xeon VM, Python 3.11).
+# rect batch refuses larger counts: each row costs 7-9 us to draw, certify
+# and record, 5-7 us more to print, and about 1 KB with its text until the
+# envelope is printed, so a batch at the bound takes 1.4-1.5 s and 112 MB
+# (2-vCPU Xeon VM, Python 3.11).
 MAX_BATCH_COUNT = 10**5
 
 # random_config draws each target angle as rng.uniform(lo, hi) would:
@@ -148,19 +152,15 @@ def solve_third_height(triangle: TriangleABC, h_a: float, h_b: float) -> float:
     return ab / math.tan(residual)
 
 
-def build_config_with_heights(
-    triangle: TriangleABC, h_a: float, h_b: float, h_c: float
-) -> RectangleConfig:
-    """Erect all three rectangles outward with explicitly given heights.
+def _erect(ax, ay, bx, by, cx, cy, bc, ca, ab, h_a, h_b, h_c) -> tuple:
+    """The flat configuration of a triangle (its vertices and the side
+    lengths |BC|, |CA|, |AB|) and its three heights: those twelve values,
+    then the corners c1, b2, a1, c2, b1, a2 as x, y pairs, in the order of
+    RectangleConfig's fields.
 
-    Does not solve or verify the angle constraint; used for perturbation
-    studies.  Outward orientation is decided by a sign test against the
-    third vertex, never by assumptions on input winding.
+    Outward orientation is decided by a sign test against the third vertex,
+    never by assumptions on input winding.
     """
-    if min(h_a, h_b, h_c) <= 0:
-        raise ValueError("heights must be positive")
-    (ax, ay), (bx, by), (cx, cy) = triangle.a_pt, triangle.b_pt, triangle.c_pt
-    bc, ca, ab = triangle._sides
     # each side d = to - from has unit normal (-d_y, d_x) / |d|, negated when
     # it points toward the third vertex
     ux, uy = -(cy - by) / bc, (cx - bx) / bc            # BC, away from A
@@ -172,15 +172,33 @@ def build_config_with_heights(
     wx, wy = -(by - ay) / ab, (bx - ax) / ab            # AB, away from C
     if wx * (cx - ax) + wy * (cy - ay) > 0:
         wx, wy = -wx, -wy
-    return RectangleConfig(
-        triangle, h_a, h_b, h_c,
-        (cx + ux * h_a, cy + uy * h_a),  # c1
-        (bx + ux * h_a, by + uy * h_a),  # b2
-        (ax + vx * h_b, ay + vy * h_b),  # a1
-        (cx + vx * h_b, cy + vy * h_b),  # c2
-        (bx + wx * h_c, by + wy * h_c),  # b1
-        (ax + wx * h_c, ay + wy * h_c),  # a2
+    return (
+        ax, ay, bx, by, cx, cy, bc, ca, ab, h_a, h_b, h_c,
+        cx + ux * h_a, cy + uy * h_a,  # c1
+        bx + ux * h_a, by + uy * h_a,  # b2
+        ax + vx * h_b, ay + vy * h_b,  # a1
+        cx + vx * h_b, cy + vy * h_b,  # c2
+        bx + wx * h_c, by + wy * h_c,  # b1
+        ax + wx * h_c, ay + wy * h_c,  # a2
     )
+
+
+def _config(triangle: TriangleABC, flat: tuple) -> RectangleConfig:
+    return RectangleConfig(triangle, *flat[9:12], *zip(flat[12::2], flat[13::2]))
+
+
+def build_config_with_heights(
+    triangle: TriangleABC, h_a: float, h_b: float, h_c: float
+) -> RectangleConfig:
+    """Erect all three rectangles outward with explicitly given heights.
+
+    Does not solve or verify the angle constraint; used for perturbation
+    studies.
+    """
+    if min(h_a, h_b, h_c) <= 0:
+        raise ValueError("heights must be positive")
+    (ax, ay), (bx, by), (cx, cy) = triangle.a_pt, triangle.b_pt, triangle.c_pt
+    return _config(triangle, _erect(ax, ay, bx, by, cx, cy, *triangle._sides, h_a, h_b, h_c))
 
 
 def build_config(triangle: TriangleABC, h_a: float, h_b: float) -> RectangleConfig:
@@ -194,12 +212,6 @@ def foot_of_perpendicular(point: Pt, line_a: Pt, line_b: Pt) -> Pt:
     dx, dy = bx - ax, by - ay
     t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
     return (ax + dx * t, ay + dy * t)
-
-
-def distance_to_line(point: Pt, line_a: Pt, line_b: Pt) -> float:
-    (px, py), (ax, ay), (bx, by) = point, line_a, line_b
-    dx, dy = bx - ax, by - ay
-    return abs(dx * (py - ay) - dy * (px - ax)) / math.hypot(dx, dy)
 
 
 def circumcircles(config: RectangleConfig) -> tuple[tuple[Pt, float], ...]:
@@ -219,6 +231,32 @@ def circumcircles(config: RectangleConfig) -> tuple[tuple[Pt, float], ...]:
     )
 
 
+def _certify(ax, ay, bx, by, cx, cy, bc, ca, ab, h_a, h_b, h_c,
+             c1x, c1y, b2x, b2y, a1x, a1y, c2x, c2y, b1x, b1y, a2x, a2y) -> tuple:
+    """((line_defect, r_bc, r_ca, r_ab, scale), P) of a flat configuration;
+    the heights are not read."""
+    # P, the foot of the altitude from A to line B1C2
+    dx, dy = c2x - b1x, c2y - b1y
+    t = ((ax - b1x) * dx + (ay - b1y) * dy) / (dx * dx + dy * dy)
+    px, py = b1x + dx * t, b1y + dy * t
+    # its distances to lines C1A2 and A1B2
+    dx, dy = a2x - c1x, a2y - c1y
+    to_c1a2 = abs(dx * (py - c1y) - dy * (px - c1x)) / math.hypot(dx, dy)
+    dx, dy = b2x - a1x, b2y - a1y
+    to_a1b2 = abs(dx * (py - a1y) - dy * (px - a1x)) / math.hypot(dx, dy)
+    # and its distances to the circumcircles, as in circumcircles()
+    return (
+        max(to_c1a2, to_a1b2),
+        abs(math.hypot(px - (bx + c1x) / 2, py - (by + c1y) / 2)
+            - math.hypot(bx - c1x, by - c1y) / 2),
+        abs(math.hypot(px - (cx + a1x) / 2, py - (cy + a1y) / 2)
+            - math.hypot(cx - a1x, cy - a1y) / 2),
+        abs(math.hypot(px - (ax + b1x) / 2, py - (ay + b1y) / 2)
+            - math.hypot(ax - b1x, ay - b1y) / 2),
+        max(bc, ca, ab),
+    ), (px, py)
+
+
 def certify_concurrency(config: RectangleConfig) -> ConcurrencyReport:
     """Residual certificate that the three cross lines meet on all circles.
 
@@ -226,19 +264,11 @@ def certify_concurrency(config: RectangleConfig) -> ConcurrencyReport:
     line by construction); the report measures its distance to the other
     two lines and its membership residual on each circumcircle.
     """
-    p = foot_of_perpendicular(config.triangle.a_pt, config.b1, config.c2)
-    defect = max(
-        distance_to_line(p, config.c1, config.a2),
-        distance_to_line(p, config.a1, config.b2),
-    )
-    (m_bc, r_bc), (m_ca, r_ca), (m_ab, r_ab) = circumcircles(config)
-    return ConcurrencyReport(
-        p,
-        defect,
-        (abs(math.dist(p, m_bc) - r_bc), abs(math.dist(p, m_ca) - r_ca),
-         abs(math.dist(p, m_ab) - r_ab)),
-        config.scale,
-    )
+    t = config.triangle
+    (defect, r_bc, r_ca, r_ab, scale), p = _certify(
+        *t.a_pt, *t.b_pt, *t.c_pt, *t._sides, config.h_a, config.h_b, config.h_c,
+        *config.c1, *config.b2, *config.a1, *config.c2, *config.b1, *config.a2)
+    return ConcurrencyReport(p, defect, (r_bc, r_ca, r_ab), scale)
 
 
 def angle_at(vertex: Pt, toward_1: Pt, toward_2: Pt) -> float:
@@ -258,38 +288,52 @@ def altitude_feet(config: RectangleConfig) -> tuple[Pt, Pt, Pt]:
     )
 
 
-def random_acute_triangle(rng: random.Random) -> TriangleABC:
-    """Uniform-ish strictly acute triangle with a modest flatness margin.
-
-    Each coordinate is rng.random(), which is what rng.uniform(0, 1) returns
-    from the same state.
-    """
+def _draw(rng: random.Random, perturb: float) -> tuple:
+    """The flat configuration (see _erect) that random_config draws."""
     rand = rng.random
-    while True:
+    while True:  # a strictly acute triangle with a modest flatness margin
         ax, ay, bx, by, cx, cy = rand(), rand(), rand(), rand(), rand(), rand()
-        sa = (cx - bx) * (cx - bx) + (cy - by) * (cy - by)
-        sb = (ax - cx) * (ax - cx) + (ay - cy) * (ay - cy)
-        sc = (bx - ax) * (bx - ax) + (by - ay) * (by - ay)
-        if sa < 1e-3 or sb < 1e-3 or sc < 1e-3:
-            continue
-        # strictness margin keeps the acuteness robust under later rounding
-        if sa < 0.98 * (sb + sc) and sb < 0.98 * (sc + sa) and sc < 0.98 * (sa + sb):
-            return TriangleABC((ax, ay), (bx, by), (cx, cy))
+        bcx, bcy, cax, cay, abx, aby = cx - bx, cy - by, ax - cx, ay - cy, bx - ax, by - ay
+        sa, sb, sc = bcx * bcx + bcy * bcy, cax * cax + cay * cay, abx * abx + aby * aby
+        # strictness margin keeps the acuteness robust under later rounding;
+        # most draws fail it, so it is tested before the side lengths
+        if (sa < 0.98 * (sb + sc) and sb < 0.98 * (sc + sa) and sc < 0.98 * (sa + sb)
+                and sa >= 1e-3 and sb >= 1e-3 and sc >= 1e-3):
+            break
+    # the side lengths as TriangleABC has them: hypot ignores the signs
+    bc, ca, ab = math.hypot(bcx, bcy), math.hypot(cax, cay), math.hypot(abx, aby)
+    h_a = bc / math.tan(_ANGLE_LO + _ANGLE_SPAN * rand())
+    h_b = ca / math.tan(_ANGLE_LO + _ANGLE_SPAN * rand())
+    # solve_third_height, whose residual the two draws keep in (0.1*pi, 0.3*pi)
+    h_c = ab / math.tan(math.pi - math.atan2(bc, h_a) - math.atan2(ca, h_b)) * perturb
+    if h_c <= 0:
+        raise ValueError("heights must be positive")
+    return _erect(ax, ay, bx, by, cx, cy, bc, ca, ab, h_a, h_b, h_c)
 
 
 def random_config(rng: random.Random, perturb: float = 1.0) -> RectangleConfig:
     """Random certified-solvable configuration: sample two target angles.
 
-    The two sampled arctangent values stay in (0.35*pi, 0.45*pi), so their
-    residual lies in (0.1*pi, 0.3*pi) and the solved third height is always
-    positive and well scaled.  The rectangles are erected once, with the
-    solved third height times perturb; at 1.0 the constraint holds.
+    Each coordinate of an acute triangle is rng.random(), which is what
+    rng.uniform(0, 1) returns from the same state.  The two sampled
+    arctangent values stay in (0.35*pi, 0.45*pi), so their residual lies in
+    (0.1*pi, 0.3*pi) and the solved third height is always positive and
+    well scaled.  The rectangles are erected once, with the solved third
+    height times perturb; at 1.0 the constraint holds.
     """
-    triangle = random_acute_triangle(rng)
-    alpha = _ANGLE_LO + _ANGLE_SPAN * rng.random()
-    beta = _ANGLE_LO + _ANGLE_SPAN * rng.random()
-    bc, ca, _ = triangle._sides
-    h_a = bc / math.tan(alpha)
-    h_b = ca / math.tan(beta)
-    h_c = solve_third_height(triangle, h_a, h_b)
-    return build_config_with_heights(triangle, h_a, h_b, h_c * perturb)
+    flat = _draw(rng, perturb)
+    return _config(TriangleABC(flat[0:2], flat[2:4], flat[4:6]), flat)
+
+
+def certify_batch(rng: random.Random, count: int, perturb: float = 1.0) -> list[tuple]:
+    """(line_defect, r_bc, r_ca, r_ab, scale) of count configurations drawn
+    in turn from rng, building no TriangleABC, RectangleConfig or report.
+
+    Row i holds the bits of certify_concurrency(random_config(rng, perturb))
+    for the i-th draw, and rng ends in the same state.  Every drawn triangle
+    passes TriangleABC's checks: each squared side is at least 1e-3 and below
+    0.98 times the sum of the other two, so the triangle is strictly acute,
+    and a strictly acute triangle has no zero side and is not flat.
+    """
+    draw, certify = _draw, _certify
+    return [certify(*draw(rng, perturb))[0] for _ in range(count)]

@@ -112,7 +112,7 @@ def test_pins_oracle_doubled_area_bound(capsys, monkeypatch):
 
 
 def test_rect_batch_count_bound(capsys, monkeypatch):
-    # 10^5 rows take seconds and about 140 MB; at a bound of 3 the count 3 is
+    # 10^5 rows take seconds and about 110 MB; at a bound of 3 the count 3 is
     # certified and 4 exits 2 before any configuration is built
     assert rectconcur.MAX_BATCH_COUNT == 10**5
     monkeypatch.setattr(rectconcur, "MAX_BATCH_COUNT", 3)
@@ -120,7 +120,7 @@ def test_rect_batch_count_bound(capsys, monkeypatch):
     assert code == 0 and len(json.loads(out)["rows"]) == 3
     assert cli.run(["rect", "batch", "--count", "4"]) == 2
     assert capsys.readouterr().err == (
-        "error: --count must be <= 3 (each row holds about 1.3 KB), got 4\n")
+        "error: --count must be <= 3 (each row holds about 1 KB), got 4\n")
 
 
 def test_gcdset_construct(capsys):
@@ -244,6 +244,12 @@ ERROR_FILES = {
                      "--rel-tol must be > 0, got 0.0", id="rel-tol-zero"),
         pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "-1"),
                      "--rel-tol must be > 0, got -1.0", id="rel-tol-negative"),
+        pytest.param(("rect", "batch", "--count", "3", "--perturb", "0"),
+                     "--perturb must be > 0, got 0.0", id="perturb-zero"),
+        pytest.param(("rect", "batch", "--count", "3", "--perturb", "-1.5", "--json"),
+                     "--perturb must be > 0, got -1.5", id="perturb-negative"),
+        pytest.param(("rect", "batch", "--count", "3", "--seed", "1", "--perturb", "5e-324"),
+                     "--perturb 5e-324 is too small", id="perturb-underflow"),
         pytest.param(("rect", "batch", "--count", "2", "--perturb", "1e200", "--json"),
                      "--perturb 1e+200 is too large", id="perturb-huge-json"),
         pytest.param(("rect", "batch", "--count", "2", "--perturb", "1e200"),
@@ -592,6 +598,56 @@ def random_value(rng, depth):
     return {random_string(rng): random_value(rng, depth + 1) for _ in range(rng.randrange(6))}
 
 
+def random_key(rng):
+    # braces, which the records writer's str.format template must escape
+    return random_string(rng) + rng.choice(["", "{", "}", "{}", "{0}", "}{", "{{x}}", "{:>9}"])
+
+
+def random_column(rng):
+    """A maker of one column's cells: one scalar type, scalar lists of one
+    length or of several, or (rarely) cells of mixed types or nested lists."""
+    scalars = [random_float, random_string, lambda r: r.random() < 0.5, lambda r: None,
+               lambda r: r.choice(INTS) if r.random() < 0.2 else r.randrange(-99, 99)]
+    make = rng.choice(scalars)
+    kind = rng.randrange(10)
+    if kind == 0:  # equal-length lists, zero length included
+        width = rng.randrange(4)
+        return lambda r: [make(r) for _ in range(width)]
+    if kind == 1:  # unequal lengths
+        return lambda r: [make(r) for _ in range(r.randrange(3))]
+    if kind == 2:  # mixed types: bool and int, int and float, str and None, ...
+        other = rng.choice(scalars)
+        return lambda r: (make if r.random() < 0.7 else other)(r)
+    if kind == 3:  # a list holding a container
+        return lambda r: [make(r), r.choice([[], {}, [make(r)]])]
+    return make
+
+
+def random_records(rng):
+    """A list of dicts sharing one key set, with now and then a non-finite
+    float, or a row with a key more or less than the others."""
+    columns = {random_key(rng): random_column(rng) for _ in range(rng.randrange(1, 6))}
+    rows = [{key: make(rng) for key, make in columns.items()}
+            for _ in range(rng.randrange(1, 9))]
+    for _ in range(rng.choice([0, 0, 0, 0, 0, 1, 2])):
+        row = rng.choice(rows)
+        row[rng.choice(list(row))] = rng.choice([math.nan, math.inf, -math.inf])
+    if rng.random() < 0.1:
+        rng.choice(rows)[random_key(rng) + "+"] = 0.5
+    if rng.random() < 0.1:
+        row = rng.choice(rows)
+        del row[rng.choice(list(row))]
+    return rows
+
+
+def json_outcome(write, value):
+    """The text write gives for value, or its error's type and message."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 def test_json_writer_matches_json_dumps_on_random_values():
     rng = random.Random(19)
     for _ in range(3000):
@@ -601,6 +657,18 @@ def test_json_writer_matches_json_dumps_on_random_values():
     for _ in range(300):
         env = {random_string(rng): random_value(rng, 1) for _ in range(rng.randrange(1, 8))}
         assert cli._json(env) == json_dumps(env)
+    # lists of records, written column by column when their shape allows it
+    columnar = 0
+    for _ in range(3000):
+        value = {"rows": random_records(rng)}
+        assert json_outcome(cli._json, value) == json_outcome(json_dumps, value)
+        columnar += cli._records(value["rows"], "  ") is not None
+    assert columnar > 700  # of 3000 lists; the others take the per-item path
+    # json names the non-finite float it meets first, row by row: inf here,
+    # although the column "a" that sorts first holds a NaN
+    rows = [{"a": 1.0, "b": math.inf}, {"a": math.nan, "b": 2.0}]
+    assert json_outcome(cli._json, rows) == json_outcome(json_dumps, rows) == (
+        ValueError, "Out of range float values are not JSON compliant: inf")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

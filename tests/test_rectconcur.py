@@ -10,6 +10,7 @@ from jmokit.rectconcur import (
     angle_at,
     build_config,
     build_config_with_heights,
+    certify_batch,
     certify_concurrency,
     circumcircles,
     random_config,
@@ -249,3 +250,20 @@ def test_kernel_matches_tuple_reference_bit_for_bit(perturb):
             # repr tells every double apart, -0.0 from 0.0 included
             assert repr(got) == repr(_reference_row(reference_rng, perturb))
         assert rng.getstate() == reference_rng.getstate()
+
+
+@pytest.mark.parametrize("perturb", [1.0, 0.9, 1.25, 1e-3])
+def test_certify_batch_matches_the_report_route_bit_for_bit(perturb):
+    for seed in range(200):
+        rng, report_rng = random.Random(seed), random.Random(seed)
+        rows = certify_batch(rng, 6, perturb)
+        expected = []
+        for _ in range(6):
+            config = random_config(report_rng, perturb)
+            t = config.triangle
+            TriangleABC(t.a_pt, t.b_pt, t.c_pt)  # the drawn triangle passes its checks
+            report = certify_concurrency(config)
+            expected.append((report.line_defect, *report.circle_residuals, report.scale))
+        # repr tells every double apart, -0.0 from 0.0 included
+        assert repr(rows) == repr(expected)
+        assert rng.getstate() == report_rng.getstate()
