@@ -548,8 +548,9 @@ def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
     except ValueError:  # the only one: a third height times --perturb rounds to 0
         raise UsageError(f"--perturb {args.perturb} is too small: a third height "
                          "times it rounds to 0") from None
-    rows = []
+    rows = [] if args.json else None  # the human lines need only the worst row
     all_pass = True
+    worst_rel, worst_index = -math.inf, 0
     threshold = args.rel_tol
     isfinite = math.isfinite
     for index, (defect, r_bc, r_ca, r_ab, scale) in enumerate(batch):
@@ -561,13 +562,16 @@ def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
             raise UsageError(f"--perturb {args.perturb} is too large: the certificate "
                              f"of configuration {index} is not a finite number")
         all_pass = all_pass and passed
-        batch[index] = None  # the certificates and the rows never peak together
-        rows.append({
-            "index": index,
-            "line_defect_rel": line_rel,
-            "circle_residuals_rel": circles_rel,
-            "passes": passed,
-        })
+        if line_rel > worst_rel:  # the first of equal defects, as max() picks
+            worst_rel, worst_index = line_rel, index
+        if rows is not None:
+            batch[index] = None  # the certificates and the rows never peak together
+            rows.append({
+                "index": index,
+                "line_defect_rel": line_rel,
+                "circle_residuals_rel": circles_rel,
+                "passes": passed,
+            })
     env_fields = {
         "count": args.count,
         "seed": args.seed,
@@ -580,8 +584,7 @@ def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
         f"{args.count} configuration(s), seed {args.seed}, perturb x{args.perturb}: "
         f"{'all pass' if all_pass else 'FAILURES'} at rel tol {threshold:.1e}"
     ]
-    worst = max(rows, key=lambda r: r["line_defect_rel"])
-    human.append(f"worst relative line defect: {worst['line_defect_rel']:.3e} (instance {worst['index']})")
+    human.append(f"worst relative line defect: {worst_rel:.3e} (instance {worst_index})")
     return (0 if all_pass else 1), env_fields, human
 
 

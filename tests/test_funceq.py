@@ -46,6 +46,12 @@ def test_table_rejects_nonpositive_values():
         FunctionTable([1, 0, 1])
     with pytest.raises(ValueError):
         FunctionTable({1: 1, 2: -3})
+    # the error names the first bad n, not the least value
+    with pytest.raises(ValueError, match=r"^f\(3\) = 0 is not"):
+        FunctionTable([1, 1, 0, -7, 0])
+    with pytest.raises(ValueError, match=r"^f\(2\) = -1 is not"):
+        FunctionTable({3: -9, 1: 1, 2: -1})
+    assert FunctionTable([1, 2, 1]).limit == 3
 
 
 def test_table_rejects_gaps():
@@ -354,6 +360,9 @@ MALFORMED_TABLES = [
     "0 5\n1 1\n", "-5 1\n", "1 1\n2 1\n1 1\n", "1 1\n3 1\n", "2 1\n3 1\n",
     "3 1\n1 1\n2 1\n", "2 7\n1 1\n", "1 1\n2 0\n", "1 -1\n", "1 1\n3 0\n",
     "1000000000 1\n", "1 1\n1000000000 1\n",
+    # traps for the separator shape test: each has plain-looking separators
+    "1 \n2", " 1 1\n", "1 1 \n", "1  1\n", "01 1\n2 1\n", "1 1\n2 1", "1 1\n\n2 1\n",
+    "1 1\n2 1\r\n",
 ]
 
 
@@ -404,6 +413,32 @@ def test_parse_table_matches_line_parser_on_random_tables():
     rng = random.Random(2021)
     for _ in range(1500):
         text = random_table_text(rng)
+        assert parse_outcome(parse_table, text) == parse_outcome(reference_parse_table, text), text
+
+
+def edited_table_text(rng):
+    """An "n v\n" table with one to three single-character edits (insert,
+    delete or replace) drawn from digits, space, \n, \r, \t, # and -."""
+    text = "".join(f"{k} {rng.choice([1, 1, 1, 2])}\n" for k in range(1, rng.randint(1, 25)))
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        char = rng.choice("0123456789 \n\r\t#-")
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = text[:i] + char + text[i:]
+        elif kind == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + char + text[i + 1:]
+    return text
+
+
+@pytest.mark.parametrize("block", [3, 7, 16, funceq.BLOCK])
+def test_parse_table_matches_line_parser_on_edited_tables(monkeypatch, block):
+    monkeypatch.setattr(funceq, "BLOCK", block)
+    rng = random.Random(2200 + block)
+    for _ in range(1500):
+        text = edited_table_text(rng)
         assert parse_outcome(parse_table, text) == parse_outcome(reference_parse_table, text), text
 
 
@@ -469,6 +504,33 @@ def test_in_order_tables_skip_the_line_parser(monkeypatch, name):
     assert parse_outcome(parse_table, text) == expected
     if name == "four blocks":
         assert len(text) > 4 * funceq.BLOCK
+
+
+class FieldCount(Exception):
+    pass
+
+
+def refuse_field_count(block):
+    raise FieldCount
+
+
+@pytest.mark.parametrize("n", [50, 50000])
+def test_plain_tables_skip_the_field_count(monkeypatch, n):
+    # plain "n v\n" blocks pass the separator shape test, so no line is split
+    text = "".join(f"{k} {k % 7 + 1}\n" for k in range(1, n + 1))
+    monkeypatch.setattr(funceq, "_fields", refuse_field_count)
+    monkeypatch.setattr(funceq, "_parse_lines", refuse_line_parse)
+    assert parse_outcome(parse_table, text) == [k % 7 + 1 for k in range(1, n + 1)]
+    if n == 50000:
+        assert len(text) > 4 * funceq.BLOCK
+
+
+@pytest.mark.parametrize("text", ["1 \n2", "1 1\n\n2 1\n", "1 1\n2 1", "1  1\n", "1 1\r\n",
+                                  "1 1 # c\n"])
+def test_other_shapes_take_the_field_count(monkeypatch, text):
+    monkeypatch.setattr(funceq, "_fields", refuse_field_count)
+    with pytest.raises(FieldCount):
+        parse_table(text)
 
 
 def swapped_in_last_block():
