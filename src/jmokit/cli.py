@@ -463,6 +463,8 @@ def _cmd_cyclic_solve(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_cyclic_verify(args) -> tuple[int, dict, list[str]]:
+    if args.tol < 0:
+        raise UsageError(f"--tol must be >= 0, got {args.tol}")
     v, res = _entries_file(args.input)
     env_fields = {"n": v.n, "residual_max_abs": res.max_abs}
     ok = res.max_abs <= args.tol

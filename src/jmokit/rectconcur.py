@@ -79,19 +79,6 @@ class TriangleABC:
             math.hypot(ax - bx, ay - by),
         )
 
-    def side_bc(self) -> float:
-        return self._sides[0]
-
-    def side_ca(self) -> float:
-        return self._sides[1]
-
-    def side_ab(self) -> float:
-        return self._sides[2]
-
-    @property
-    def diameter(self) -> float:
-        return max(self._sides)
-
 
 class RectangleConfig(NamedTuple):
     """The triangle with its three outward rectangles fully materialized."""
@@ -109,16 +96,13 @@ class RectangleConfig(NamedTuple):
 
     @property
     def scale(self) -> float:
-        return self.triangle.diameter
+        """The triangle's diameter, its longest side."""
+        return max(self.triangle._sides)
 
     def angle_sum_defect(self) -> float:
         """Absolute deviation of the three arctangents from pi."""
-        t = self.triangle
-        total = (
-            math.atan2(t.side_bc(), self.h_a)
-            + math.atan2(t.side_ca(), self.h_b)
-            + math.atan2(t.side_ab(), self.h_c)
-        )
+        bc, ca, ab = self.triangle._sides
+        total = math.atan2(bc, self.h_a) + math.atan2(ca, self.h_b) + math.atan2(ab, self.h_c)
         return abs(total - math.pi)
 
 

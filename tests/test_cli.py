@@ -151,6 +151,7 @@ def test_unknown_subcommand_exits_two(capsys):
 
 ERROR_FILES = {
     "inf.txt": "inf\n" * 8,
+    "solution.txt": "1\n2\n" * 4,  # the exact solution at n = 4
     "bad_entries.txt": "1\n2\nx\n2\n1\n2\n1\n2\n",
     "bad_packing.txt": "not a rational\n",
     # bad values after comments and blank lines: the error names the physical line
@@ -168,6 +169,8 @@ ERROR_FILES = {
     "exponent_x.txt": "10\n1E-4301 1\n",
     "digits_y3.txt": "10\n1 1 1e4300\n",
     "digits_y.txt": "10\n1 0." + "0" * 4299 + "1\n",
+    # f(1) has 2501 digits, so f(1)^2 would have more than 4300
+    "big_value.tab": "1 1" + "0" * 2500 + "\n",
 }
 
 
@@ -232,6 +235,10 @@ ERROR_FILES = {
                      "argument --tol", id="tol-inf"),
         pytest.param(("cyclic", "solve", "--n", "5", "--seed", "3", "--tol", "nan"),
                      "argument --tol", id="tol-nan"),
+        pytest.param(("cyclic", "verify", "--input", "{tmp}/solution.txt", "--tol", "-1"),
+                     "--tol must be >= 0, got -1.0", id="verify-tol-negative"),
+        pytest.param(("funceq", "check", "--input", "{tmp}/big_value.tab", "--json"),
+                     "bad table file: f(1) has more than 2150 digits", id="table-value-digits"),
         pytest.param(("rect", "batch", "--count", "100001"),
                      "--count must be <= 100000", id="rect-count-bound"),
         pytest.param(("rect", "batch", "--count", "3", "--rel-tol", "inf"),

@@ -9,6 +9,7 @@ from jmokit.funceq import (
     CHUNK,
     EVEN_DOUBLE,
     MAX_TRACE_LIMIT,
+    MAX_VALUE_DIGITS,
     ODD_DIFFERENCE,
     DerivationStep,
     FunctionTable,
@@ -52,6 +53,27 @@ def test_table_rejects_nonpositive_values():
     with pytest.raises(ValueError, match=r"^f\(2\) = -1 is not"):
         FunctionTable({3: -9, 1: 1, 2: -1})
     assert FunctionTable([1, 2, 1]).limit == 3
+
+
+def test_table_rejects_values_past_the_digit_bound():
+    # every f(a) f(b) of an accepted table has at most 4300 digits, so it can
+    # be written out; a larger value is refused by every constructor, naming n
+    big = 10 ** MAX_VALUE_DIGITS
+    message = rf"^f\(2\) has more than {MAX_VALUE_DIGITS} digits$"
+    for build in (lambda: FunctionTable([1, big, 1]), lambda: FunctionTable({2: big, 1: 1}),
+                  lambda: FunctionTable([1, -big]), lambda: FunctionTable([1, 10**5000]),
+                  lambda: FunctionTable.constant(2).with_value(2, big),
+                  lambda: parse_table("1 1\n2 1" + "0" * MAX_VALUE_DIGITS + "\n")):
+        with pytest.raises(ValueError, match=message):
+            build()
+    with pytest.raises(ValueError, match=rf"^f\(1\) has more than {MAX_VALUE_DIGITS} digits$"):
+        FunctionTable.constant(3, big)
+    # the first bad n is named, whichever bound it breaks
+    with pytest.raises(ValueError, match=r"^f\(2\) = 0 is not"):
+        FunctionTable([1, 0, big])
+    [violation] = check_table(FunctionTable([big - 1]))
+    assert violation.kind == "square_rule"
+    assert len(str(violation.rhs)) == 2 * MAX_VALUE_DIGITS
 
 
 def test_table_rejects_gaps():
@@ -363,6 +385,8 @@ MALFORMED_TABLES = [
     # traps for the separator shape test: each has plain-looking separators
     "1 \n2", " 1 1\n", "1 1 \n", "1  1\n", "01 1\n2 1\n", "1 1\n2 1", "1 1\n\n2 1\n",
     "1 1\n2 1\r\n",
+    # a value past int's 4300-digit limit
+    "1 " + "9" * 5000 + "\n",
 ]
 
 
@@ -489,10 +513,7 @@ def in_order_lines(n):
 FAST_PATH_TABLES = {
     "one block": "\n".join(in_order_lines(50)),
     "four blocks": "\n".join(in_order_lines(50000)),
-    "CRLF": "\r\n".join(in_order_lines(3000)) + "\r\n",
-    "blank lines": "\n\n1 1\n\n  \n2 1\n\t\n3 1\n\n",
-    "header comment": "# f(n) = 1\n" + "\n".join(in_order_lines(3000)),
-    "comment on every line": "\n".join(f"{k} 1  # n = {k}" for k in range(1, 3001)),
+    "no final line feed": "1 1\n2 1",
 }
 
 
@@ -506,30 +527,21 @@ def test_in_order_tables_skip_the_line_parser(monkeypatch, name):
         assert len(text) > 4 * funceq.BLOCK
 
 
-class FieldCount(Exception):
-    pass
-
-
-def refuse_field_count(block):
-    raise FieldCount
-
-
 @pytest.mark.parametrize("n", [50, 50000])
 def test_plain_tables_skip_the_field_count(monkeypatch, n):
     # plain "n v\n" blocks pass the separator shape test, so no line is split
     text = "".join(f"{k} {k % 7 + 1}\n" for k in range(1, n + 1))
-    monkeypatch.setattr(funceq, "_fields", refuse_field_count)
     monkeypatch.setattr(funceq, "_parse_lines", refuse_line_parse)
     assert parse_outcome(parse_table, text) == [k % 7 + 1 for k in range(1, n + 1)]
     if n == 50000:
         assert len(text) > 4 * funceq.BLOCK
 
 
-@pytest.mark.parametrize("text", ["1 \n2", "1 1\n\n2 1\n", "1 1\n2 1", "1  1\n", "1 1\r\n",
-                                  "1 1 # c\n"])
+@pytest.mark.parametrize("text", ["1 \n2", "1 1\n\n2 1\n", "1  1\n", "1 1\r\n", "1 1 # c\n"])
 def test_other_shapes_take_the_field_count(monkeypatch, text):
-    monkeypatch.setattr(funceq, "_fields", refuse_field_count)
-    with pytest.raises(FieldCount):
+    # only the line parser counts the fields of each line
+    monkeypatch.setattr(funceq, "_parse_lines", refuse_line_parse)
+    with pytest.raises(LineParse):
         parse_table(text)
 
 
@@ -544,6 +556,12 @@ LINE_PARSE_TABLES = {
     "repeated n": "1 1\n2 1\n2 1\n3 1\n",
     "n = 0": "0 1\n1 1\n2 1\n",
     "non-integer field": "1 1\n2 one\n3 1\n",
+    "CRLF": "\r\n".join(in_order_lines(3000)) + "\r\n",
+    "blank lines": "\n\n1 1\n\n  \n2 1\n\t\n3 1\n\n",
+    "header comment": "# f(n) = 1\n" + "\n".join(in_order_lines(3000)),
+    "comment on every line": "\n".join(f"{k} 1  # n = {k}" for k in range(1, 3001)),
+    "leading zero": "01 1\n2 1\n",
+    "value past the int digit limit": "1 " + "9" * 5000 + "\n",
 }
 
 
