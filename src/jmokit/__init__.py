@@ -3,7 +3,7 @@ problems of the 2021 USA Junior Mathematical Olympiad.
 
 Modules
 -------
-kernel      exact rationals, Q(sqrt(3)), lattice points, factorization
+kernel      lattice points, factorization, exact signs and floors in Q(sqrt(3))
 funceq      the positive-integer functional equation (Problem 1)
 rectconcur  rectangles on an acute triangle, concurrency certificates (Problem 2)
 tripack     inverted-triangle packings and the 2/3 density bound (Problem 3)

@@ -545,17 +545,18 @@ def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
         raise UsageError(f"--rel-tol must be > 0, got {args.rel_tol}")
     if args.perturb <= 0:
         raise UsageError(f"--perturb must be > 0, got {args.perturb}")
-    try:
-        batch = rectconcur.certify_batch(random.Random(args.seed), args.count, args.perturb)
-    except ValueError:  # the only one: a third height times --perturb rounds to 0
-        raise UsageError(f"--perturb {args.perturb} is too small: a third height "
-                         "times it rounds to 0") from None
+    batch = rectconcur.certify_batch(random.Random(args.seed), args.count, args.perturb)
     rows = [] if args.json else None  # the human lines need only the worst row
     all_pass = True
     worst_rel, worst_index = -math.inf, 0
     threshold = args.rel_tol
     isfinite = math.isfinite
-    for index, (defect, r_bc, r_ca, r_ab, scale) in enumerate(batch):
+    for index in range(args.count):
+        try:
+            defect, r_bc, r_ca, r_ab, scale = next(batch)
+        except ValueError:  # the only one: a third height times --perturb rounds to 0
+            raise UsageError(f"--perturb {args.perturb} is too small: a third height "
+                             "times it rounds to 0") from None
         bound = threshold * scale  # as ConcurrencyReport.passes tests
         passed = defect <= bound and max(r_bc, r_ca, r_ab) <= bound
         line_rel = defect / scale
@@ -567,7 +568,6 @@ def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
         if line_rel > worst_rel:  # the first of equal defects, as max() picks
             worst_rel, worst_index = line_rel, index
         if rows is not None:
-            batch[index] = None  # the certificates and the rows never peak together
             rows.append({
                 "index": index,
                 "line_defect_rel": line_rel,

@@ -1,22 +1,20 @@
-"""Exact arithmetic and lattice-geometry primitives shared by all problem modules.
+"""Exact arithmetic and lattice-geometry primitives shared by the problem modules.
 
-Everything here is immutable and pure: rational scalars, points with integer
-coordinates, prime factorizations, and the handful of integer formulas
-(doubled triangle area, integer ceil-of-square-root) that the problem modules
-lean on.  Verdict-producing geometry never touches floating point; the one
-irrational the toolkit needs, sqrt(3), is carried symbolically by Sqrt3 in
-integer form.  _positive and _floor, the one sign test and the one floor of
-u + v*sqrt(3), serve Sqrt3 and the integer verdicts of tripack alike; _float,
-the one float of (u + v*sqrt(3))/d, serves Sqrt3 and tripack's drawing.
+Everything here is immutable and pure: points with integer coordinates,
+prime factorizations, and the handful of integer formulas (doubled triangle
+area, integer ceil-of-square-root) that the problem modules lean on.  The
+one irrational the toolkit needs, sqrt(3), appears only as an integer pair
+(u, v) standing for u + v*sqrt(3): _positive and _floor, the one sign test
+and the one floor of it, decide tripack's verdicts exactly, and _float, the
+one float of (u + v*sqrt(3))/d, serves tripack's drawing.  The tests'
+exact reference route for Problem 3 (tests/sqrt3_reference.py) uses the
+same three.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple, Union
-
-RationalLike = Union[int, Fraction]
+from typing import NamedTuple
 
 
 class LatticePoint(NamedTuple):
@@ -132,109 +130,3 @@ def _float(u: int, v: int, d: int) -> float:
     rationals u/d give equal floats whatever the denominator.
     """
     return u / d + v / d * math.sqrt(3.0)
-
-
-class Sqrt3:
-    """Element (p + q*sqrt(3))/d of the quadratic extension Q(sqrt(3)).
-
-    p, q, d are integers with gcd(p, q, d) = 1 and d > 0, so every element
-    has one form and +, -, * and comparisons are exact; sqrt(3) never
-    becomes a float inside a geometric verdict.  Signs come from _positive,
-    floors from _floor; a = p/d and b = q/d read as Fractions.  Operands
-    must be int, Fraction or Sqrt3.
-    """
-
-    __slots__ = ("p", "q", "d")
-
-    def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
-            raise TypeError(f"Sqrt3 parts must be int or Fraction, got {a!r}, {b!r}")
-        self.d = math.lcm(a.denominator, b.denominator)  # gives gcd(p, q, d) = 1
-        self.p = a.numerator * (self.d // a.denominator)
-        self.q = b.numerator * (self.d // b.denominator)
-
-    @staticmethod
-    def of(value: "Sqrt3 | RationalLike") -> "Sqrt3":
-        return value if isinstance(value, Sqrt3) else Sqrt3(value)
-
-    a = property(lambda self: Fraction(self.p, self.d))
-    b = property(lambda self: Fraction(self.q, self.d))
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _minus(self, other) -> tuple[int, int]:
-        """(u, v) with self - other = (u + v*sqrt(3)) / (self.d * other.d)."""
-        o = Sqrt3.of(other)
-        return self.p * o.d - o.p * self.d, self.q * o.d - o.q * self.d
-
-    def __add__(self, other):
-        o = Sqrt3.of(other)
-        return _reduced(self.p * o.d + o.p * self.d, self.q * o.d + o.q * self.d, self.d * o.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _reduced(*self._minus(other), self.d * Sqrt3.of(other).d)
-
-    def __rsub__(self, other):
-        return Sqrt3.of(other) - self
-
-    def __mul__(self, other):
-        o = Sqrt3.of(other)
-        return _reduced(self.p * o.p + 3 * self.q * o.q, self.p * o.q + self.q * o.p, self.d * o.d)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _reduced(-self.p, -self.q, self.d)
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
-    # -- ordering ------------------------------------------------------
-
-    def sign(self) -> int:
-        return _positive(self.p, self.q) - _positive(-self.p, -self.q)
-
-    def __eq__(self, other):
-        if isinstance(other, (Sqrt3, int, Fraction)):
-            return self._minus(other) == (0, 0)
-        return NotImplemented
-
-    def __gt__(self, other):
-        return _positive(*self._minus(other))
-
-    def __lt__(self, other):
-        return _positive(*Sqrt3.of(other)._minus(self))
-
-    def __ge__(self, other):
-        return not self < other
-
-    def __le__(self, other):
-        return not self > other
-
-    def __hash__(self):
-        # a rational element must hash like the Fraction it equals
-        return hash(self.a) if self.q == 0 else hash((self.p, self.q, self.d))
-
-    # -- conversion ----------------------------------------------------
-
-    def __float__(self) -> float:
-        return _float(self.p, self.q, self.d)
-
-    def floor(self) -> int:
-        return _floor(self.p, self.q, self.d)
-
-    def __repr__(self):
-        return f"Sqrt3({self.a})" if self.q == 0 else f"Sqrt3({self.a}, {self.b})"
-
-
-def _reduced(p: int, q: int, d: int) -> Sqrt3:
-    """(p + q*sqrt(3))/d in lowest terms, for d > 0."""
-    g = math.gcd(p, q, d)
-    x = object.__new__(Sqrt3)
-    x.p, x.q, x.d = p // g, q // g, d // g
-    return x
-
-
-SQRT3 = Sqrt3(0, 1)

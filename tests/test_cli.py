@@ -8,6 +8,7 @@ import resource
 import struct
 import subprocess
 import sys
+import tracemalloc
 import xml.dom.minidom
 from fractions import Fraction
 from pathlib import Path
@@ -521,6 +522,20 @@ def test_rect_batch_perturbed_fails(capsys):
     assert all(r["line_defect_rel"] > 1e-4 for r in env["rows"])
 
 
+def test_rect_batch_without_json_streams_its_certificates(capsys):
+    # the two human lines need only the worst row, so no certificate or row
+    # is held: 2,000 rows stay far below the 0.4 MB their certificates fill
+    run_cli(capsys, "rect", "batch", "--count", "1")  # parser and imports
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, "rect", "batch", "--count", "2000", "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(out.splitlines()) == 2
+    assert peak < 64 * 1024, peak
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_rect_batch_rejects_nonpositive_count(capsys, count):
     code = cli.run(["rect", "batch", "--count", count])
@@ -854,12 +869,9 @@ print(code, "numpy" in sys.modules)
 def test_numpy_loads_only_for_oracle(tmp_path, argv, loads_numpy):
     # a fresh interpreter per case, so nothing imported by other tests counts;
     # since the oracle scan runs in plain integers, no subcommand loads numpy
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     (tmp_path / "canonical.ent").write_text("1.0\n2.0\n" * 4)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.split() == ["0", str(loads_numpy)]
 
@@ -874,7 +886,8 @@ import contextlib, io, sys
 from jmokit import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("jmokit.") or m == "numpy"))
+print(code, *sorted(m for m in sys.modules
+                    if m.startswith("jmokit.") or m in ("numpy", "fractions", "decimal")))
 """
 
 
@@ -888,13 +901,20 @@ print(code, *sorted(m for m in sys.modules if m.startswith("jmokit.") or m == "n
         (("funceq", "trace", "--limit", "50"), "funceq"),
         (("rect", "batch", "--count", "3"), "rectconcur"),
         (("pins", "oracle", "--doubled-area", "2", "--radius", "3"), "scan"),
+        (("cyclic", "verify", "--input", "{tmp}/canonical.ent"), "cyclic"),
     ],
 )
-def test_a_fresh_call_imports_only_its_layer(argv, layer):
-    # jmokit.cli itself loads pinopt and kernel; each handler loads its layer
+def test_a_fresh_call_imports_only_its_layer(tmp_path, argv, layer):
+    # a fresh interpreter per case, so nothing imported by other tests counts:
+    # jmokit.cli itself loads pinopt and kernel, each handler loads its layer,
+    # no subcommand loads numpy, and only pack loads fractions (and decimal)
+    (tmp_path / "canonical.ent").write_text("1.0\n2.0\n" * 4)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     done = subprocess.run([sys.executable, "-c", LAYERS_PROBE, *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     loaded = ["jmokit.cli", "jmokit.kernel", "jmokit.pinopt"] + ([f"jmokit.{layer}"] if layer else [])
+    if layer == "tripack":
+        loaded += ["decimal", "fractions"]
     assert done.stdout.split() == ["0", *sorted(loaded)]
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from jmokit.kernel import (
     LatticePoint,
-    Sqrt3,
     _floor,
     _positive,
     factorize,
@@ -15,6 +14,7 @@ from jmokit.kernel import (
     shoelace_doubled,
 )
 from jmokit.tripack import _integer_form
+from sqrt3_reference import Sqrt3
 
 
 def test_shoelace_degenerate_coincident():

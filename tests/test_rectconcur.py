@@ -256,7 +256,7 @@ def test_kernel_matches_tuple_reference_bit_for_bit(perturb):
 def test_certify_batch_matches_the_report_route_bit_for_bit(perturb):
     for seed in range(200):
         rng, report_rng = random.Random(seed), random.Random(seed)
-        rows = certify_batch(rng, 6, perturb)
+        rows = list(certify_batch(rng, 6, perturb))
         expected = []
         for _ in range(6):
             config = random_config(report_rng, perturb)

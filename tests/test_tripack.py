@@ -5,25 +5,30 @@ from itertools import takewhile
 
 import pytest
 
-from jmokit import cli, kernel, tripack
-from jmokit.kernel import SQRT3, Sqrt3
+import sqrt3_reference
+from jmokit import cli, tripack
 from jmokit.tripack import (
     _inside,
     _integer_form,
-    PackingInstance,
-    as_point,
     dump_packing,
     float_vertices,
+    parse_packing,
+    tessellate,
+    validate_packing,
+)
+from sqrt3_reference import (
+    SQRT3,
+    Sqrt3,
+    as_point,
     hex_gauge,
     hex_gauge_overlap,
     hexagon_inside_delta,
     hexagon_vertices,
-    parse_packing,
-    tessellate,
+    packing,
+    points,
     triangle_inside_delta,
     triangle_vertices,
     triangles_overlap_exact,
-    validate_packing,
 )
 
 SQRT3_QUARTER = Sqrt3(0, F(1, 4))
@@ -98,7 +103,7 @@ def test_overlap_equivalence_on_random_pairs():
         overlap = triangles_overlap_exact(base, other)
         assert overlap == hex_gauge_overlap(base, other)
         # and the integer route of validate_packing agrees with both
-        report = validate_packing(PackingInstance(side_len=F(4), anchors=[base, other]))
+        report = validate_packing(packing(F(4), [base, other]))
         assert report.first_overlap == ((0, 1) if overlap else None)
         checked += 1
 
@@ -129,21 +134,21 @@ def test_unit_hexagon_is_triangle_difference_body():
 
 
 def test_hexagon_inside_delta_interior_anchor():
-    instance = PackingInstance(side_len=F(10))
+    instance = packing(F(10), [])
     assert hexagon_inside_delta(instance, (5, 3))
 
 
 def test_hexagon_inside_delta_tightest_case():
     # L = 2 admits exactly one anchor; triangle corners and hexagon touch
     # the boundary of Delta simultaneously
-    instance = PackingInstance(side_len=F(2))
+    instance = packing(F(2), [])
     anchor = (1, SQRT3_HALF)
     assert triangle_inside_delta(anchor, F(2))
     assert hexagon_inside_delta(instance, anchor)
 
 
 def test_hexagon_inside_delta_rejects_poking_triangle():
-    instance = PackingInstance(side_len=F(4))
+    instance = packing(F(4), [])
     with pytest.raises(ValueError):
         hexagon_inside_delta(instance, (0, SQRT3_HALF))
 
@@ -152,7 +157,7 @@ def test_hexagon_lemma_wherever_triangle_fits():
     # whenever the triangle is inside Delta, so is its side-1/2 hexagon
     rng = random.Random(13)
     for side in (F(2), F(5, 2), F(3), F(6)):
-        instance = PackingInstance(side_len=side)
+        instance = packing(side, [])
         hits = 0
         while hits < 60:
             x = F(rng.randint(0, int(side * 8)), 8)
@@ -178,7 +183,7 @@ def test_no_unit_triangle_fits_below_side_two():
 
 
 def test_validate_two_triangle_packing():
-    instance = PackingInstance(side_len=F(3), anchors=[(1, SQRT3_HALF), (2, SQRT3_HALF)])
+    instance = packing(F(3), [(1, SQRT3_HALF), (2, SQRT3_HALF)])
     report = validate_packing(instance)
     assert report.valid
     assert report.count == 2
@@ -187,10 +192,7 @@ def test_validate_two_triangle_packing():
 
 
 def test_validate_reports_offending_pair():
-    instance = PackingInstance(
-        side_len=F(4),
-        anchors=[(F(3, 2), SQRT3_HALF), (2, SQRT3_HALF), (3, SQRT3_HALF)],
-    )
+    instance = packing(F(4), [(F(3, 2), SQRT3_HALF), (2, SQRT3_HALF), (3, SQRT3_HALF)])
     report = validate_packing(instance)
     assert not report.valid
     assert not report.disjoint
@@ -198,7 +200,7 @@ def test_validate_reports_offending_pair():
 
 
 def test_validate_reports_outside_anchor():
-    instance = PackingInstance(side_len=F(1), anchors=[(F(1, 2), SQRT3_HALF)])
+    instance = packing(F(1), [(F(1, 2), SQRT3_HALF)])
     report = validate_packing(instance)
     assert not report.all_inside
     assert report.first_outside == 0
@@ -211,11 +213,8 @@ def test_grid_and_bruteforce_validation_agree():
     assert validate_packing(instance).valid
     assert _verdicts(instance) == _reference_verdicts(instance) == (None, None)
     # and they agree on an invalid instance too
-    bad = PackingInstance(
-        side_len=F(8),
-        anchors=instance.anchors + [instance.anchors[0]],
-    )
-    assert _verdicts(bad) == _reference_verdicts(bad) == (None, (0, len(instance.anchors)))
+    bad = packing(F(8), points(instance) + [points(instance)[0]])
+    assert _verdicts(bad) == _reference_verdicts(bad) == (None, (0, len(points(instance))))
 
 
 # -- integer verdicts against the Sqrt3 predicates ---------------------------
@@ -223,7 +222,7 @@ def test_grid_and_bruteforce_validation_agree():
 
 def _reference_verdicts(instance):
     """(first_outside, first_overlap) from the Sqrt3 predicates, all pairs."""
-    side, anchors = instance.side_len, instance.anchors
+    side, anchors = instance.side_len, points(instance)
     first_outside = next(
         (k for k, a in enumerate(anchors) if not triangle_inside_delta(a, side)), None
     )
@@ -251,7 +250,7 @@ def test_integer_route_matches_sqrt3_on_random_packings():
     seen = Counter()
     for _ in range(150):
         side = F(rng.randint(16, 40), 4)
-        lattice = tessellate(side).anchors
+        lattice = points(tessellate(side))
         anchors = rng.sample(lattice, rng.randint(2, min(10, len(lattice))))
         for k in range(len(anchors)):
             if rng.random() < 0.3:
@@ -261,7 +260,7 @@ def test_integer_route_matches_sqrt3_on_random_packings():
         if rng.random() < 0.2:
             k = rng.randrange(len(anchors))
             anchors[k] = (anchors[k][0] - side / 2 + nudge(), anchors[k][1])
-        instance = PackingInstance(side_len=side, anchors=anchors)
+        instance = packing(side, anchors)
         expected = _reference_verdicts(instance)
         assert _verdicts(instance) == expected
         seen["outside" if expected[0] is not None else "inside"] += 1
@@ -287,7 +286,7 @@ def test_integer_route_at_gauge_exactly_one():
         assert hex_gauge(d) == 1
         for scale, overlap in ((F(63, 64), True), (F(1), False), (F(65, 64), False)):
             other = (base[0] + d[0] * scale, base[1] + d[1] * scale)
-            instance = PackingInstance(side_len=F(12), anchors=[base, other])
+            instance = packing(F(12), [base, other])
             expected = (None, (0, 1) if overlap else None)
             assert _reference_verdicts(instance) == expected
             assert _verdicts(instance) == expected
@@ -328,7 +327,7 @@ def test_tessellate_matches_sqrt3_clipping():
         for margin in (F(0), F(1, 4), F(1, 3), F(3, 2)):
             expected = [a for a in _lattice_candidates(side)
                         if triangle_inside_delta(a, side, margin)]
-            assert tessellate(side, margin).anchors == expected
+            assert points(tessellate(side, margin)) == expected
 
 
 def _primes_from_eleven(count):
@@ -369,18 +368,18 @@ def test_integer_route_on_distinct_prime_denominators():
                 x = F(3, 2) + j + 2 * i + F(1, primes[len(anchors)])
                 anchors.append((Sqrt3(x), y))
         j += 1
-    instance = PackingInstance(side_len=side, anchors=anchors)
+    instance = packing(side, anchors)
     assert all(triangle_inside_delta(a, side) for a in anchors)
     assert _grid_reference_overlap(anchors) is None
     assert _verdicts(instance) == (None, None)
     # one planted overlap, then one planted outside anchor, each with a new prime
     twin = (anchors[700][0] + F(1, primes[1500]), anchors[700][1])
     assert triangles_overlap_exact(anchors[700], twin)
-    instance = PackingInstance(side_len=side, anchors=anchors + [twin])
+    instance = packing(side, anchors + [twin])
     assert _verdicts(instance) == (None, (700, 1500))
     out = (Sqrt3(F(-1, primes[1501])), Sqrt3(0, 2))
     assert not triangle_inside_delta(out, side)
-    instance = PackingInstance(side_len=side, anchors=anchors[:1000] + [out] + anchors[1000:])
+    instance = packing(side, anchors[:1000] + [out] + anchors[1000:])
     assert _verdicts(instance) == (1000, None)
 
 
@@ -414,7 +413,7 @@ def test_tessellate_with_margin_keeps_distance():
     margined = tessellate(F(10), margin=F(1, 2))
     assert validate_packing(margined).valid
     assert all(
-        triangle_inside_delta(a, F(10), F(1, 2)) for a in margined.anchors
+        triangle_inside_delta(a, F(10), F(1, 2)) for a in points(margined)
     )
     assert margined.count < tessellate(F(10)).count
 
@@ -445,7 +444,7 @@ def test_validated_packing_hexagon_facts():
     # Delta, and n * (3*sqrt(3)/8) <= (sqrt(3)/4) L^2 numerically
     instance = tessellate(F(8))
     assert validate_packing(instance).valid
-    anchors = instance.anchors
+    anchors = points(instance)
     for j in range(len(anchors)):
         for i in range(j):
             d = (anchors[j][0] - anchors[i][0], anchors[j][1] - anchors[i][1])
@@ -464,7 +463,7 @@ def test_packing_roundtrip():
     text = dump_packing(instance)
     back = parse_packing(text)
     assert back.side_len == instance.side_len
-    assert back.anchors == instance.anchors
+    assert points(back) == points(instance)
 
 
 def test_dump_of_parse_is_canonical():
@@ -475,11 +474,11 @@ def test_dump_of_parse_is_canonical():
     canonical = "10\n3 1/5 3/7\n1/2 -1/4\n9/2 0 5/9\n-3/7 -1/3 -7/9\n17/3 1/3\n15 1/2 1/8\n"
     assert dump_packing(parse_packing(text)) == canonical
     assert dump_packing(parse_packing(canonical)) == canonical
-    assert parse_packing(text).anchors[4] == (Sqrt3(F(17, 3)), Sqrt3(F(1, 3)))
+    assert points(parse_packing(text))[4] == (Sqrt3(F(17, 3)), Sqrt3(F(1, 3)))
 
 
 def test_dump_refuses_irrational_x():
-    instance = PackingInstance(side_len=F(4), anchors=[(Sqrt3(2, F(1, 5)), SQRT3)])
+    instance = packing(F(4), [(Sqrt3(2, F(1, 5)), SQRT3)])
     with pytest.raises(ValueError, match="rational x"):
         dump_packing(instance)
 
@@ -492,9 +491,9 @@ def test_file_route_makes_no_sqrt3(monkeypatch, capsys, tmp_path):
         raise AssertionError("a Sqrt3 was built")
 
     def render(text):
-        packing, svg = tmp_path / "p.txt", tmp_path / "p.svg"
-        packing.write_text(text)
-        assert cli.run(["pack", "render", "--input", str(packing), "--svg", str(svg)]) == 0
+        path, svg = tmp_path / "p.txt", tmp_path / "p.svg"
+        path.write_text(text)
+        assert cli.run(["pack", "render", "--input", str(path), "--svg", str(svg)]) == 0
         capsys.readouterr()
         return svg.read_bytes()
 
@@ -502,13 +501,12 @@ def test_file_route_makes_no_sqrt3(monkeypatch, capsys, tmp_path):
     built = tessellate(F(29, 2), F(1, 2))
     expected_text = dump_packing(built)
     expected = validate_packing(built)
-    assert expected.valid and expected.count == len(built.anchors) == 70
+    assert expected.valid and expected.count == len(points(built)) == 70
     hand_verdicts = _reference_verdicts(parse_packing(hand))
     assert hand_verdicts == (None, (1, 3))
     expected_svgs = [render(hand), render(expected_text)]
     monkeypatch.setattr(Sqrt3, "__init__", refuse)
-    monkeypatch.setattr(kernel, "_reduced", refuse)
-    monkeypatch.setattr(tripack, "_reduced", refuse)
+    monkeypatch.setattr(sqrt3_reference, "_reduced", refuse)
     with pytest.raises(AssertionError):
         SQRT3 + 1
     text = dump_packing(tessellate(F(29, 2), F(1, 2)))
@@ -535,7 +533,7 @@ def test_float_vertices_match_reference():
     for _ in range(100):
         anchors = [(Sqrt3(rational(), rational()), Sqrt3(rational(), rational()))
                    for _ in range(rng.randint(1, 6))]
-        instance = PackingInstance(abs(rational()) + F(1, rng.choice(denominators)), anchors)
+        instance = packing(abs(rational()) + F(1, rng.choice(denominators)), anchors)
         reference = [(floats(triangle_vertices(a)), floats(hexagon_vertices(a, F(1, 2))))
                      for a in anchors]
         assert list(float_vertices(instance.forms)) == reference
@@ -555,5 +553,5 @@ def test_parse_packing_reports_physical_line_numbers():
 
 def test_parse_packing_optional_component():
     instance = parse_packing("10\n5 3\n11/2 0 1/2\n")
-    assert instance.anchors[0] == (Sqrt3(5), Sqrt3(3))
-    assert instance.anchors[1] == (Sqrt3(F(11, 2)), Sqrt3(0, F(1, 2)))
+    assert points(instance)[0] == (Sqrt3(5), Sqrt3(3))
+    assert points(instance)[1] == (Sqrt3(F(11, 2)), Sqrt3(0, F(1, 2)))
