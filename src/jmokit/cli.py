@@ -24,12 +24,19 @@ handlers that use it, so gcdset loads gcdperfect, pack tripack (and svg to
 render), cyclic cyclic, funceq funceq, and rect rectconcur (and svg); scan,
 behind pinopt.oracle_min_moves, is imported only when pins oracle runs.
 
-One parser per process is shared by every run() call; parse_args gives each
-call a fresh Namespace, so no state carries over.  It is built group by
+One parser per process is shared by every run() call; each parse starts
+from a fresh Namespace, so no state carries over.  It is built group by
 group: _build_parser makes the top parser and the six group parsers, and
 run() adds the action parsers of the group that argv starts with, or of
 every group when argv starts with none (-h, --version, a typo), each group
-once per parser.
+once per parser.  An argv `group action ...` whose arguments that start
+with - are each exactly one of the action's options (-h and --help aside)
+goes straight to that action parser, about a third of the whole tree's parse
+time.  Every other argv, and one the action parser leaves an argument of,
+is parsed by the whole tree, since argparse reads options at the top and
+group levels too (`--=x` is ambiguous there); the action parser is the
+same object in both routes, so every usage, help and error text is the
+tree's.
 """
 
 from __future__ import annotations
@@ -220,7 +227,7 @@ def _parse_file(parse, path: str, what: str):
     text = _read(path)
     try:
         return parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad {what} file: {exc}") from exc
 
 
@@ -361,7 +368,7 @@ def _cmd_pack_build(args) -> tuple[int, dict, list[str]]:
     try:
         side = tripack._rational(args.side, "--side")
         margin = tripack._rational(args.margin, "--margin")
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad rational: {exc}") from exc
     instance = tripack.tessellate(side, margin)
     report = tripack.validate_packing(instance)
@@ -749,6 +756,7 @@ def _build_parser() -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", required=True)
     parser.unbuilt = {name: groups.add_parser(name, help=text)
                       for name, (text, _) in _GROUPS.items()}
+    parser.direct = {}  # (group, action): (action parser, its options but -h and --help)
     return parser
 
 
@@ -760,7 +768,29 @@ def _add_actions(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     for name in names:
         group = parser.unbuilt.pop(name, None)
         if group is not None:
-            _GROUPS[name][1](group.add_subparsers(dest="action", required=True))
+            actions = group.add_subparsers(dest="action", required=True)
+            _GROUPS[name][1](actions)
+            for action, p in actions.choices.items():
+                options = p._option_string_actions.keys() - {"-h", "--help"}
+                parser.direct[name, action] = p, options
+
+
+def _parse_direct(parser: argparse.ArgumentParser, argv: list[str]):
+    """The Namespace of `group action ...` parsed by the action parser alone,
+    or None: when argv names no action, when an argument that starts with -
+    is not exactly one of the action's options, or when the parse leaves an
+    argument over.  The whole tree then parses argv, since argparse reads
+    such arguments at the top and group levels too."""
+    direct = parser.direct.get(tuple(argv[:2]))
+    if direct is None:
+        return None
+    action_parser, options = direct
+    rest = argv[2:]
+    if not all(arg in options for arg in rest if arg[:1] == "-"):
+        return None
+    args, extras = action_parser.parse_known_args(
+        rest, argparse.Namespace(group=argv[0], action=argv[1]))
+    return None if extras else args
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -768,7 +798,7 @@ def run(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = _build_parser()
     _add_actions(parser, argv)
-    args = parser.parse_args(argv)
+    args = _parse_direct(parser, argv) or parser.parse_args(argv)
     started = time.perf_counter()
     try:
         code, fields, human = args.handler(args)

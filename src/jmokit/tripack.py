@@ -288,7 +288,7 @@ def tessellate(side_len, margin=Fraction(0)) -> PackingInstance:
 def _rational(field: str, name: str) -> Fraction:
     """Fraction(field) for the field called name: packing-file fields, and
     pack build's --side and --margin.  A field out of MAX_FIELD_DIGITS's
-    range raises ValueError naming it.
+    range, or with a zero denominator, raises ValueError naming it.
     """
     try:
         exponent = int(field.lower().partition("e")[2])
@@ -297,7 +297,10 @@ def _rational(field: str, name: str) -> Fraction:
     if abs(exponent) > MAX_FIELD_DIGITS:
         raise ValueError(f"{name} has a decimal exponent above "
                          f"{MAX_FIELD_DIGITS} in absolute value")
-    value = Fraction(field)
+    try:
+        value = Fraction(field)
+    except ZeroDivisionError:
+        raise ValueError(f"{name} has a zero denominator") from None
     if value.denominator >= _DIGITS_BOUND or abs(value.numerator) >= _DIGITS_BOUND:
         raise ValueError(f"{name} needs more than {MAX_FIELD_DIGITS} digits as p/q")
     return value
@@ -332,9 +335,13 @@ def parse_packing(text: str) -> PackingInstance:
                 # only an exponent or a long field can leave _rational's
                 # range, so only such lines pay for its checks
                 parts = [_rational(f, name) for f, name in zip(parts, ("x", "y", "y3"))]
-            x, y = Fraction(parts[0]), Fraction(parts[1])
-            y3 = Fraction(parts[2]) if len(parts) == 3 else 0
+            try:
+                x, y = Fraction(parts[0]), Fraction(parts[1])
+                y3 = Fraction(parts[2]) if len(parts) == 3 else 0
+            except ZeroDivisionError:  # a p/0 field: only this path pays to name it
+                for field, name in zip(parts, ("x", "y", "y3")):
+                    _rational(field, name)
             forms.append(_integer_form((x, 0, y, y3), side))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from exc
     return PackingInstance(side, forms)

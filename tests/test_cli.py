@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import json
@@ -170,6 +171,9 @@ ERROR_FILES = {
     "exponent_x.txt": "10\n1E-4301 1\n",
     "digits_y3.txt": "10\n1 1 1e4300\n",
     "digits_y.txt": "10\n1 0." + "0" * 4299 + "1\n",
+    "zero_denominator_side.txt": "1/0\n1 1\n",
+    "zero_denominator_x.txt": "10\n1/0 1\n",
+    "zero_denominator_y3.txt": "10\n1 1\n1 2 0/0\n",
     # f(1) has 2501 digits, so f(1)^2 would have more than 4300
     "big_value.tab": "1 1" + "0" * 2500 + "\n",
 }
@@ -283,6 +287,22 @@ ERROR_FILES = {
         pytest.param(("pack", "build", "--side", "8", "--margin", "1e4301"),
                      "bad rational: --margin has a decimal exponent above 4300",
                      id="margin-exponent"),
+        pytest.param(("pack", "build", "--side", "1/0"),
+                     "error: bad rational: --side has a zero denominator\n",
+                     id="side-zero-denominator"),
+        pytest.param(("pack", "build", "--side", "8", "--margin", "1/0"),
+                     "error: bad rational: --margin has a zero denominator\n",
+                     id="margin-zero-denominator"),
+        pytest.param(("pack", "validate", "--input", "{tmp}/zero_denominator_side.txt"),
+                     "bad packing file: line 1: side has a zero denominator\n",
+                     id="packing-side-zero-denominator"),
+        pytest.param(("pack", "validate", "--input", "{tmp}/zero_denominator_x.txt"),
+                     "bad packing file: line 2: x has a zero denominator\n",
+                     id="packing-x-zero-denominator"),
+        pytest.param(("pack", "render", "--input", "{tmp}/zero_denominator_y3.txt", "--svg",
+                      "{tmp}/never.svg"),
+                     "bad packing file: line 3: y3 has a zero denominator\n",
+                     id="packing-y3-zero-denominator"),
     ],
 )
 def test_usage_errors_exit_two(capsys, tmp_path, argv, message):
@@ -828,6 +848,77 @@ def test_groups_built_on_demand_read_as_if_built_up_front(capsys, monkeypatch):
     parser = fresh_parser()
     cli._add_actions(parser, ["pins", "solve"])
     assert set(parser.unbuilt) == set(GROUP_ACTIONS) - {"pins"}
+
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+# argvs at the edge of the direct parse: an abbreviation, --opt=value, values
+# and stray arguments that start with - or not, help and version after the
+# action, a repeated option and a missing value
+PARSE_EDGE_CASES = [
+    ("pins", "solve", "--doubled", "4042", "--json"),
+    ("pins", "solve", "--doubled-area=4042", "--json"),
+    ("pins", "solve", "--doubled-area", "-5"),
+    ("pins", "solve", "--doubled-area", "4042", "extra"),
+    ("pins", "solve", "--doubled-area", "4042", "--version"),
+    ("pins", "solve", "--doubled-area", "4042", "-h"),
+    ("pins", "solve", "--=x"),
+    ("pins", "solve", "--doubled-area", "4042", "--"),
+    ("--", "pins", "solve", "--doubled-area", "4042"),
+    ("pins", "solve", "--doubled-area", "1", "--doubled-area", "4042", "--json"),
+    ("gcdset", "construct", "--k", "1", "--p", "2", "--q", "--json"),
+]
+
+
+def test_direct_parse_reads_as_the_whole_tree(capsys, monkeypatch, tmp_path):
+    # run() hands `group action ...` to the action parser alone; every argv of
+    # one round of each bench workload, and every edge case, must give the
+    # exit code, stdout and stderr that the whole tree's parse gives (no argv
+    # asks for --timings, whose elapsed time differs between two calls)
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import checks
+    import workloads
+
+    monkeypatch.chdir(tmp_path)
+    tree = fresh_parser()
+    cli._add_actions(tree, [])
+
+    def tree_outputs(argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", lambda: tree)
+            patch.setattr(cli, "_parse_direct", lambda parser, argv: None)
+            return call_outputs(capsys, argv)
+
+    argvs = []
+    for workload in workloads.WORKLOADS:
+        for op in workloads.make_round(workload, 1):
+            if "prep" in op:
+                checks.prepare(op, tmp_path)
+            argv = op["argv"] + ["--json"]  # as the bench worker calls it
+            argvs.append(argv)
+            assert call_outputs(capsys, argv) == tree_outputs(argv), argv
+    assert any(argv[-2] == "many" for argv in argvs)  # the malformed calls are in
+    for argv in PARSE_EDGE_CASES:
+        outputs = call_outputs(capsys, argv)
+        assert outputs == tree_outputs(argv), argv
+        assert outputs[0] in (0, 2), argv
+
+
+def test_only_the_direct_parse_runs_for_a_plain_argv(capsys, monkeypatch):
+    calls = []
+    tree_parse = argparse.ArgumentParser.parse_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return tree_parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+    code, out, err = call_outputs(capsys, ["pins", "solve", "--doubled-area", "4042", "--json"])
+    assert (code, json.loads(out)["cost"], err) == (0, 128, "")
+    assert calls == []
+    code, _, err = call_outputs(capsys, ["pins", "solve", "--doubled-area", "4042", "extra"])
+    assert (code, err.splitlines()[-1]) == (2, "jmokit: error: unrecognized arguments: extra")
+    assert calls == [cli._build_parser()]
 
 
 def test_pack_validate_non_finite_density_is_invalid_in_both_forms(capsys, tmp_path):

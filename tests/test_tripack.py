@@ -546,6 +546,19 @@ def test_parse_packing_rejects_garbage():
         parse_packing("5\n1 2 3 4 5\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1/0\n1 1\n", "line 1: side has a zero denominator"),
+    ("10\n1/0 1\n", "line 2: x has a zero denominator"),
+    ("10\n1 -3/0\n", "line 2: y has a zero denominator"),
+    ("10\n# c\n1 1 0/0\n", "line 3: y3 has a zero denominator"),
+    ("10\n1e1 1 1/0\n", "line 2: y3 has a zero denominator"),
+])
+def test_parse_packing_names_a_zero_denominator(text, message):
+    with pytest.raises(ValueError) as refusal:
+        parse_packing(text)
+    assert str(refusal.value) == message
+
+
 def test_parse_packing_reports_physical_line_numbers():
     with pytest.raises(ValueError, match="^line 4: expected 'x y \\[y3\\]', got '5 3 1 2'$"):
         parse_packing("10\n\n# c\n5 3 1 2\n")
