@@ -564,7 +564,7 @@ def _cmd_rect_batch(args) -> tuple[int, dict, list[str]]:
         except ValueError:  # the only one: a third height times --perturb rounds to 0
             raise UsageError(f"--perturb {args.perturb} is too small: a third height "
                              "times it rounds to 0") from None
-        bound = threshold * scale  # as ConcurrencyReport.passes tests
+        bound = threshold * scale  # --rel-tol is relative to the diameter
         passed = defect <= bound and max(r_bc, r_ca, r_ab) <= bound
         line_rel = defect / scale
         circles_rel = [r_bc / scale, r_ca / scale, r_ab / scale]
@@ -603,25 +603,24 @@ def _cmd_rect_render(args) -> tuple[int, dict, list[str]]:
     from . import rectconcur
     from .svg import Scene
 
-    rng = random.Random(args.seed)
-    config = rectconcur.random_config(rng)
-    report = rectconcur.certify_concurrency(config)
-    t = config.triangle
+    flat = rectconcur._draw(random.Random(args.seed), 1.0)
+    (defect, _, _, _, scale), p_point = rectconcur._certify(*flat)
+    a, b, c = flat[0:2], flat[2:4], flat[4:6]
+    c1, b2, a1, c2, b1, a2 = zip(flat[12::2], flat[13::2])
     scene = Scene()
-    scene.polygon([t.a_pt, t.b_pt, t.c_pt], stroke="#000000", width=2.0)
-    scene.polygon([t.b_pt, t.c_pt, config.c1, config.b2], stroke="#555555", width=1.0)
-    scene.polygon([t.c_pt, t.a_pt, config.a1, config.c2], stroke="#555555", width=1.0)
-    scene.polygon([t.a_pt, t.b_pt, config.b1, config.a2], stroke="#555555", width=1.0)
-    for center, radius in rectconcur.circumcircles(config):
+    scene.polygon([a, b, c], stroke="#000000", width=2.0)
+    scene.polygon([b, c, c1, b2], stroke="#555555", width=1.0)
+    scene.polygon([c, a, a1, c2], stroke="#555555", width=1.0)
+    scene.polygon([a, b, b1, a2], stroke="#555555", width=1.0)
+    for center, radius in rectconcur.circumcircles(flat):
         scene.circle(center, radius, stroke="#2255cc", width=1.2)
-    scene.line(config.b1, config.c2, stroke="#cc2222", width=1.0)
-    scene.line(config.c1, config.a2, stroke="#cc2222", width=1.0)
-    scene.line(config.a1, config.b2, stroke="#cc2222", width=1.0)
-    scene.dot(report.p_point, fill="#cc2222", size=3.5)
+    scene.line(b1, c2, stroke="#cc2222", width=1.0)
+    scene.line(c1, a2, stroke="#cc2222", width=1.0)
+    scene.line(a1, b2, stroke="#cc2222", width=1.0)
+    scene.dot(p_point, fill="#cc2222", size=3.5)
     _write(args.svg, scene.to_svg())
     human = [
-        f"wrote {args.svg} (seed {args.seed}, relative line defect "
-        f"{report.line_defect / report.scale:.3e})"
+        f"wrote {args.svg} (seed {args.seed}, relative line defect {defect / scale:.3e})"
     ]
     return 0, {"svg": args.svg, "seed": args.seed}, human
 

@@ -110,13 +110,6 @@ class MinMaxReport(NamedTuple):
     ok: bool
 
 
-def canonical_solution(n: int) -> CycleVector:
-    """The alternating solution (1, 2, 1, 2, ...); its residual is exactly 0."""
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
-    return CycleVector(n, (1.0, 2.0) * n)
-
-
 def residuals(v: CycleVector) -> ResidualReport:
     """Both residual families.  An entry near the float maximum, or so near 0
     that its reciprocal overflows, makes max_abs inf, without raising."""
@@ -128,12 +121,8 @@ def residuals(v: CycleVector) -> ResidualReport:
     return ResidualReport(odd_res, even_res, max(map(abs, odd_res + even_res)))
 
 
-def reduced_even_residuals(v: CycleVector) -> tuple[float, ...]:
-    """b_i - (1/b_{i-1} + 2/b_i + 1/b_{i+1}) for the even entries b."""
-    return tuple(_reduced(list(v.even())))
-
-
 def _reduced(b: list[float]) -> list[float]:
+    """b_i - (1/b_{i-1} + 2/b_i + 1/b_{i+1}) for the even entries b."""
     return [x - (1.0 / p + 2.0 / x + 1.0 / q)
             for p, x, q in zip(b[-1:] + b[:-1], b, b[1:] + b[:1])]
 

@@ -85,12 +85,6 @@ class FunctionTable:
     def __call__(self, n: int) -> int:
         return self._values[n]
 
-    def with_value(self, n: int, value: int) -> "FunctionTable":
-        """Copy of the table with f(n) replaced."""
-        seq = self._values[1:]
-        seq[n - 1] = value
-        return FunctionTable(seq)
-
 
 class Violation(NamedTuple):
     kind: str                    # "sum_rule" or "square_rule"
@@ -133,18 +127,6 @@ class Trace:
         for targets, codes, us, vs in self.chunks():
             for target, code, u, v in zip(targets, codes, us, vs):
                 yield DerivationStep(target, self.names[code], None if u is None else (u, v))
-
-    @classmethod
-    def from_steps(cls, steps: Iterable[DerivationStep]) -> "Trace":
-        """A hand-written trace in the same chunked column form."""
-        steps = list(steps)
-        names = list(dict.fromkeys([*RULES, *(s.rule for s in steps)]))
-        columns = ([s.target for s in steps], [names.index(s.rule) for s in steps],
-                   [None if s.params is None else s.params[0] for s in steps],
-                   [0 if s.params is None else s.params[1] for s in steps])
-        chunks = [tuple(column[lo:lo + CHUNK] for column in columns)
-                  for lo in range(0, len(steps), CHUNK)]
-        return cls(len(steps), max([0, *columns[0]]), chunks.__iter__, tuple(names))
 
 
 class ReplayResult(NamedTuple):

@@ -69,7 +69,8 @@ def test_criterion_3_funceq():
     for _ in range(50):
         n = rng.randint(1, 31)
         value = rng.randint(2, 10)
-        violations = funceq.check_table(constant.with_value(n, value))
+        mutated = funceq.FunctionTable([value if k == n else 1 for k in range(1, 1001)])
+        violations = funceq.check_table(mutated)
         assert violations, f"mutation f({n}) = {value} not caught"
     crit.done()
 
@@ -122,29 +123,21 @@ def test_criterion_5_tripack():
 
 def test_criterion_6_rectconcur():
     crit = Criterion(6, limit_s=10.0)
-    rng = random.Random(2021)
-    for _ in range(100):
-        config = rectconcur.random_config(rng)
-        report = rectconcur.certify_concurrency(config)
-        bound = 1e-9 * report.scale
-        assert report.line_defect <= bound
-        assert max(report.circle_residuals) <= bound
+    for defect, r_bc, r_ca, r_ab, scale in rectconcur.certify_batch(random.Random(2021), 100):
+        bound = 1e-9 * scale
+        assert defect <= bound
+        assert max(r_bc, r_ca, r_ab) <= bound
 
-    rng = random.Random(2022)
-    for _ in range(100):
-        config = rectconcur.random_config(rng)
-        perturbed = rectconcur.build_config_with_heights(
-            config.triangle, config.h_a, config.h_b, config.h_c * 1.05
-        )
-        report = rectconcur.certify_concurrency(perturbed)
-        assert report.line_defect > 1e-4 * report.scale
+    # the third height of each configuration times 1.05
+    for defect, *_, scale in rectconcur.certify_batch(random.Random(2022), 100, 1.05):
+        assert defect > 1e-4 * scale
     crit.done()
 
 
 def test_criterion_7_cyclic():
     crit = Criterion(7, limit_s=30.0)
     for n in range(4, 13):
-        target = np.array(cyclic.canonical_solution(n).entries)
+        target = np.array((1.0, 2.0) * n)
         starts = [None] + list(range(100))
         for seed in starts:
             solution, record = cyclic.solve(n, seed, tol=1e-10)

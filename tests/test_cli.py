@@ -993,17 +993,19 @@ print(code, *sorted(m for m in sys.modules
         (("rect", "batch", "--count", "3"), "rectconcur"),
         (("pins", "oracle", "--doubled-area", "2", "--radius", "3"), "scan"),
         (("cyclic", "verify", "--input", "{tmp}/canonical.ent"), "cyclic"),
+        (("rect", "render", "--seed", "3", "--svg", "{tmp}/r.svg"), "rectconcur svg"),
     ],
 )
 def test_a_fresh_call_imports_only_its_layer(tmp_path, argv, layer):
     # a fresh interpreter per case, so nothing imported by other tests counts:
-    # jmokit.cli itself loads pinopt and kernel, each handler loads its layer,
+    # jmokit.cli itself loads pinopt and kernel, each handler loads its layers,
     # no subcommand loads numpy, and only pack loads fractions (and decimal)
     (tmp_path / "canonical.ent").write_text("1.0\n2.0\n" * 4)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     done = subprocess.run([sys.executable, "-c", LAYERS_PROBE, *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=120, check=True)
-    loaded = ["jmokit.cli", "jmokit.kernel", "jmokit.pinopt"] + ([f"jmokit.{layer}"] if layer else [])
+    loaded = ["jmokit.cli", "jmokit.kernel", "jmokit.pinopt"]
+    loaded += [f"jmokit.{name}" for name in (layer or "").split()]
     if layer == "tripack":
         loaded += ["decimal", "fractions"]
     assert done.stdout.split() == ["0", *sorted(loaded)]

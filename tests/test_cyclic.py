@@ -10,32 +10,28 @@ import pytest
 from jmokit import cyclic
 from jmokit.cyclic import (
     CycleVector,
-    canonical_solution,
     dump_entries,
     identity_checks,
     minmax_certificate,
     parse_entries,
     random_start,
-    reduced_even_residuals,
     residuals,
     solve,
 )
 
 
 def test_canonical_solution_shape():
-    v = canonical_solution(4)
-    assert v.entries == (1.0, 2.0) * 4
+    v = CycleVector(4, (1.0, 2.0) * 4)
+    assert (v.odd(), v.even()) == ((1.0,) * 4, (2.0,) * 4)
     assert residuals(v).max_abs == 0.0
 
 
 def test_canonical_residuals_vanish_for_all_n():
     for n in range(4, 13):
-        assert residuals(canonical_solution(n)).max_abs == 0.0
+        assert residuals(CycleVector(n, (1.0, 2.0) * n)).max_abs == 0.0
 
 
 def test_small_n_rejected():
-    with pytest.raises(ValueError):
-        canonical_solution(3)
     with pytest.raises(ValueError):
         CycleVector(3, (1.0,) * 6)
     with pytest.raises(ValueError):
@@ -58,7 +54,7 @@ def test_all_ones_residuals():
 
 
 def test_residual_stencil_is_local():
-    entries = list(canonical_solution(5).entries)
+    entries = [1.0, 2.0] * 5
     entries[1] = 2.1  # a_2
     report = residuals(CycleVector(5, tuple(entries)))
     # touched: odd rows for a_1 and a_3 (both read a_2), even row for a_2
@@ -70,14 +66,13 @@ def test_residual_stencil_is_local():
 
 
 def test_reduced_residuals_at_canonical():
-    assert reduced_even_residuals(canonical_solution(6)) == (0.0,) * 6
+    assert cyclic._reduced([2.0] * 6) == [0.0] * 6
 
 
 def test_reduced_residuals_constant_ansatz():
     # even entries all c reduce every row to c - 4/c, zero only at c = 2
     for c in (1.0, 2.0, 3.5):
-        entries = tuple(v for _ in range(5) for v in (1.0, c))
-        got = reduced_even_residuals(CycleVector(5, entries))
+        got = cyclic._reduced([c] * 5)
         expected = c - 4.0 / c
         assert all(abs(g - expected) < 1e-12 for g in got)
 
@@ -92,7 +87,7 @@ def test_reduced_bounded_by_full_residuals():
         full = residuals(v)
         odd = np.array(full.odd_residuals)
         even = np.array(full.even_residuals)
-        reduced = np.array(reduced_even_residuals(v))
+        reduced = np.array(cyclic._reduced(list(v.even())))
         recombined = odd + np.roll(odd, -1) + even
         assert np.allclose(reduced, recombined, rtol=0, atol=1e-9)
         assert np.max(np.abs(reduced)) <= 3 * full.max_abs + 1e-12
@@ -101,20 +96,20 @@ def test_reduced_bounded_by_full_residuals():
 def test_solve_from_ones():
     solution, record = solve(4, None, tol=1e-10)
     assert record.converged
-    target = canonical_solution(4).entries
+    target = (1.0, 2.0) * 4
     assert max(abs(a - b) for a, b in zip(solution.entries, target)) < 1e-8
 
 
 def test_solve_fixed_point_needs_no_iterations():
-    solution, record = solve(7, canonical_solution(7), tol=1e-10)
+    solution, record = solve(7, CycleVector(7, (1.0, 2.0) * 7), tol=1e-10)
     assert record.converged
     assert record.iterations == 0
-    assert solution.entries == canonical_solution(7).entries
+    assert solution.entries == (1.0, 2.0) * 7
 
 
 def test_solve_multistart_lands_on_canonical():
     for n in (4, 10):
-        target = np.array(canonical_solution(n).entries)
+        target = np.array((1.0, 2.0) * n)
         for seed in range(20):
             solution, record = solve(n, seed, tol=1e-10)
             assert record.converged, (n, seed)
@@ -191,12 +186,12 @@ def test_solve_reports_nonconvergence():
 def test_identity_checks_at_canonical():
     # sum of even entries is 8 = sum of 4/a over them; the squared pair sum
     # counts one per row
-    report = identity_checks(canonical_solution(4))
+    report = identity_checks(CycleVector(4, (1.0, 2.0) * 4))
     assert report.sum_vs_reciprocal_defect == 0.0
     assert report.squared_pair_sum_defect == 0.0
     assert report.even_sum_defect == 0.0
     assert report.ok
-    assert identity_checks(canonical_solution(7)).squared_pair_sum_defect == 0.0
+    assert identity_checks(CycleVector(7, (1.0, 2.0) * 7)).squared_pair_sum_defect == 0.0
 
 
 def test_identity_checks_rejects_non_solutions():
@@ -205,7 +200,7 @@ def test_identity_checks_rejects_non_solutions():
 
 
 def test_minmax_certificate_at_canonical():
-    report = minmax_certificate(canonical_solution(9))
+    report = minmax_certificate(CycleVector(9, (1.0, 2.0) * 9))
     assert report.minimum == report.maximum == 2.0
     assert report.spread == 0.0
     assert report.ok

@@ -11,6 +11,7 @@ from jmokit.funceq import (
     MAX_TRACE_LIMIT,
     MAX_VALUE_DIGITS,
     ODD_DIFFERENCE,
+    RULES,
     DerivationStep,
     FunctionTable,
     Trace,
@@ -21,13 +22,31 @@ from jmokit.funceq import (
 )
 
 
+def with_value(table, n, value):
+    """Copy of the table with f(n) replaced."""
+    return FunctionTable([value if k == n else table(k) for k in range(1, table.limit + 1)])
+
+
+def trace_from_steps(steps):
+    """A hand-written trace in forced_trace's chunked column form; a rule
+    name outside RULES gets a code past them."""
+    steps = list(steps)
+    names = list(dict.fromkeys([*RULES, *(s.rule for s in steps)]))
+    columns = ([s.target for s in steps], [names.index(s.rule) for s in steps],
+               [None if s.params is None else s.params[0] for s in steps],
+               [0 if s.params is None else s.params[1] for s in steps])
+    chunks = [tuple(column[lo:lo + CHUNK] for column in columns)
+              for lo in range(0, len(steps), CHUNK)]
+    return Trace(len(steps), max([0, *columns[0]]), chunks.__iter__, tuple(names))
+
+
 def test_constant_table_has_no_violations():
     assert check_table(FunctionTable.constant(100)) == []
 
 
 def test_sum_rule_violation():
     # 5 = 1^2 + 2^2 and f(1) f(2) = 1, so f(5) = 2 breaks the sum rule
-    table = FunctionTable.constant(10).with_value(5, 2)
+    table = with_value(FunctionTable.constant(10), 5, 2)
     violations = check_table(table)
     assert any(
         v.kind == "sum_rule" and v.witnesses == (1, 2) and v.lhs == 2 and v.rhs == 1
@@ -37,7 +56,7 @@ def test_sum_rule_violation():
 
 def test_square_rule_violation():
     # f(2^2) = 3 but f(2)^2 = 1
-    table = FunctionTable.constant(10).with_value(4, 3)
+    table = with_value(FunctionTable.constant(10), 4, 3)
     violations = check_table(table)
     assert any(v.kind == "square_rule" and v.witnesses == (2,) for v in violations)
 
@@ -62,7 +81,6 @@ def test_table_rejects_values_past_the_digit_bound():
     message = rf"^f\(2\) has more than {MAX_VALUE_DIGITS} digits$"
     for build in (lambda: FunctionTable([1, big, 1]), lambda: FunctionTable({2: big, 1: 1}),
                   lambda: FunctionTable([1, -big]), lambda: FunctionTable([1, 10**5000]),
-                  lambda: FunctionTable.constant(2).with_value(2, big),
                   lambda: parse_table("1 1\n2 1" + "0" * MAX_VALUE_DIGITS + "\n")):
         with pytest.raises(ValueError, match=message):
             build()
@@ -108,7 +126,7 @@ def test_replay_accepts_generator_output():
 
 
 def test_replay_rejects_u_not_greater_than_v():
-    trace = Trace.from_steps([*forced_trace(5), DerivationStep(5, ODD_DIFFERENCE, (3, 3))])
+    trace = trace_from_steps([*forced_trace(5), DerivationStep(5, ODD_DIFFERENCE, (3, 3))])
     result = replay_trace(trace)
     assert not result.ok
     assert result.failed_index == len(trace) - 1
@@ -117,7 +135,7 @@ def test_replay_rejects_u_not_greater_than_v():
 
 def test_replay_rejects_out_of_order_dependencies():
     # derive 9 = 5^2 - 4^2 before 4 and 5 exist
-    trace = Trace.from_steps([
+    trace = trace_from_steps([
         DerivationStep(1, BASE_ONE, None),
         DerivationStep(2, BASE_TWO, None),
         DerivationStep(3, ODD_DIFFERENCE, (2, 1)),
@@ -130,7 +148,7 @@ def test_replay_rejects_out_of_order_dependencies():
 
 
 def test_replay_rejects_wrong_formula():
-    trace = Trace.from_steps([
+    trace = trace_from_steps([
         DerivationStep(1, BASE_ONE, None),
         DerivationStep(2, BASE_TWO, None),
         DerivationStep(6, ODD_DIFFERENCE, (2, 1)),  # 2^2 - 1^2 = 3, not 6
@@ -141,7 +159,7 @@ def test_replay_rejects_wrong_formula():
 
 
 def test_replay_rejects_empty_trace():
-    result = replay_trace(Trace.from_steps([]))
+    result = replay_trace(trace_from_steps([]))
     assert (result.ok, result.reason) == (False, "empty trace")
 
 
@@ -157,7 +175,7 @@ def test_single_point_mutations_are_caught():
     for _ in range(50):
         n = rng.randint(1, 31)
         value = rng.randint(2, 9)
-        assert check_table(base.with_value(n, value)), f"mutation at {n} undetected"
+        assert check_table(with_value(base, n, value)), f"mutation at {n} undetected"
 
 
 def test_pythagorean_identity_exact():
@@ -234,7 +252,7 @@ def reference_replay(steps):
 
 
 def replay_outcome(steps):
-    result = replay_trace(Trace.from_steps(steps))
+    result = replay_trace(trace_from_steps(steps))
     assert sum(result.rule_counts.values()) == (len(steps) if result.ok else
                                                 result.failed_index or 0)
     return result[:4]
@@ -264,7 +282,7 @@ def test_replay_counts_rules_in_order_of_first_use():
     assert list(result.rule_counts.items()) == [
         (BASE_ONE, 1), (BASE_TWO, 1), (ODD_DIFFERENCE, (n - 1) // 2), (EVEN_DOUBLE, n // 2 - 1)]
     assert list(replay_trace(forced_trace(3)).rule_counts) == [BASE_ONE, BASE_TWO, ODD_DIFFERENCE]
-    assert replay_trace(Trace.from_steps(reference_forced_steps(n))) == result
+    assert replay_trace(trace_from_steps(reference_forced_steps(n))) == result
 
 
 def edited_forced_steps(limit, edits):
@@ -289,7 +307,7 @@ def edited_forced_steps(limit, edits):
 ])
 def test_replay_rejects_at_chunk_edges(edits, index, reason):
     steps = edited_forced_steps(2 * CHUNK + 5, edits)
-    result = replay_trace(Trace.from_steps(steps))
+    result = replay_trace(trace_from_steps(steps))
     assert (result.ok, result.failed_index, result.reason) == (False, index, reason)
     assert result.derived == index == sum(result.rule_counts.values())
     assert result[:4] == reference_replay(steps)
