@@ -235,9 +235,8 @@ def _reference_row(rng, perturb):
 @pytest.mark.parametrize("perturb", [1.0, 0.9, 1.25, 1.0001, 2.0, 1e-3])
 def test_kernel_matches_tuple_reference_bit_for_bit(perturb):
     for seed in range(100):
-        rng, batch_rng, reference_rng = (random.Random(seed) for _ in range(3))
-        rows = list(certify_batch(batch_rng, 12, perturb))
-        for row in rows:
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for _ in range(12):
             flat = _draw(rng, perturb)
             # the drawn triangle is strictly acute, with no short side, and not flat
             a, b, c = _points(flat)[:3]
@@ -249,5 +248,18 @@ def test_kernel_matches_tuple_reference_bit_for_bit(perturb):
             got = (p, certificate[0], certificate[1:4], certificate[4])
             # repr tells every double apart, -0.0 from 0.0 included
             assert repr(got) == repr(_reference_row(reference_rng, perturb))
-            assert repr(row) == repr(certificate)
-        assert rng.getstate() == batch_rng.getstate() == reference_rng.getstate()
+        assert rng.getstate() == reference_rng.getstate()
+
+
+@pytest.mark.parametrize("perturb", [1.0, 0.9, 1.25, 1e-3])
+def test_certify_batch_matches_the_report_route_bit_for_bit(perturb):
+    for seed in range(200):
+        rng, report_rng = random.Random(seed), random.Random(seed)
+        rows = list(certify_batch(rng, 6, perturb))
+        expected = []
+        for _ in range(6):
+            _, defect, residuals, scale = _reference_row(report_rng, perturb)
+            expected.append((defect, *residuals, scale))
+        # repr tells every double apart, -0.0 from 0.0 included
+        assert repr(rows) == repr(expected)
+        assert rng.getstate() == report_rng.getstate()
