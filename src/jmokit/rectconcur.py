@@ -39,10 +39,11 @@ from typing import Iterator
 Pt = tuple[float, float]
 
 DEFAULT_REL_TOL = 1e-9
-# rect batch refuses larger counts: each row costs 7-9 us to draw, certify
-# and record, 5-7 us more to print, and about 1 KB with its text until the
-# envelope is printed, so a batch at the bound takes 1.4-1.5 s and 112 MB
-# (2-vCPU Xeon VM, Python 3.11).
+# rect batch refuses larger counts.  Without --json the rows stream, so a
+# batch at the bound takes about 1.0 s and peaks at 14 MB; with --json every
+# row stays in memory, about 1 KB with its text, until the envelope is
+# printed, so it takes about 1.8 s and peaks at 109 MB (fresh process,
+# ru_maxrss, 2-vCPU Xeon VM, Python 3.11).
 MAX_BATCH_COUNT = 10**5
 
 # _draw draws each target angle as rng.uniform(lo, hi) would:

@@ -974,11 +974,12 @@ def fresh_env():
 
 LAYERS_PROBE = """
 import contextlib, io, sys
+before = set(sys.modules)
 from jmokit import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules
-                    if m.startswith("jmokit.") or m in ("numpy", "fractions", "decimal")))
+print(code, *sorted(m for m in set(sys.modules) - before
+                    if m.startswith(("jmokit.", "json")) or m in ("numpy", "fractions", "decimal")))
 """
 
 
@@ -994,31 +995,42 @@ print(code, *sorted(m for m in sys.modules
         (("pins", "oracle", "--doubled-area", "2", "--radius", "3"), "scan"),
         (("cyclic", "verify", "--input", "{tmp}/canonical.ent"), "cyclic"),
         (("rect", "render", "--seed", "3", "--svg", "{tmp}/r.svg"), "rectconcur svg"),
+        (("pack", "validate", "--input", "{tmp}/p.txt"), "tripack"),
+        (("pack", "render", "--input", "{tmp}/p.txt", "--svg", "{tmp}/p.svg"), "tripack svg"),
+        (("funceq", "check", "--input", "{tmp}/f.txt"), "funceq"),
+        (("gcdset", "search", "--size", "2", "--max", "30"), "gcdperfect"),
+        (("gcdset", "construct", "--k", "1", "--p", "2", "--q", "3"), "gcdperfect"),
     ],
 )
 def test_a_fresh_call_imports_only_its_layer(tmp_path, argv, layer):
-    # a fresh interpreter per case, so nothing imported by other tests counts:
-    # jmokit.cli itself loads pinopt and kernel, each handler loads its layers,
-    # no subcommand loads numpy, and only pack loads fractions (and decimal)
+    # a fresh interpreter per case, and only what the import of jmokit.cli
+    # and the call add counts (a site that imports json does not): cli, the
+    # group's command module and its layers, svg only to render, scan only
+    # for pins oracle; no other group's command module, no json, no numpy,
+    # and fractions (with decimal) only for pack.  layer names the layers
+    # beyond pinopt, which only pins loads, and kernel, which pinopt,
+    # gcdperfect and tripack import.
     (tmp_path / "canonical.ent").write_text("1.0\n2.0\n" * 4)
+    (tmp_path / "p.txt").write_text("8\n")  # an empty packing, which is valid
+    (tmp_path / "f.txt").write_text("1 1\n2 1\n")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     done = subprocess.run([sys.executable, "-c", LAYERS_PROBE, *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=120, check=True)
-    loaded = ["jmokit.cli", "jmokit.kernel", "jmokit.pinopt"]
+    loaded = ["jmokit.cli", "jmokit.commands", f"jmokit.commands.{argv[0]}"]
     loaded += [f"jmokit.{name}" for name in (layer or "").split()]
-    if layer == "tripack":
-        loaded += ["decimal", "fractions"]
+    loaded += {"pins": ["jmokit.pinopt", "jmokit.kernel"], "gcdset": ["jmokit.kernel"],
+               "pack": ["jmokit.kernel", "decimal", "fractions"]}.get(argv[0], [])
     assert done.stdout.split() == ["0", *sorted(loaded)]
 
 
 def test_no_module_loads_dataclasses():
-    # a fresh interpreter importing every module, scan included
+    # a fresh interpreter importing every module, scan and the command modules included
     probe = ("import importlib, pkgutil, sys, jmokit\n"
-             "for m in pkgutil.iter_modules(jmokit.__path__): importlib.import_module('jmokit.' + m.name)\n"
-             "print('numpy' in sys.modules, 'dataclasses' in sys.modules)")
+             "for m in pkgutil.walk_packages(jmokit.__path__, 'jmokit.'): importlib.import_module(m.name)\n"
+             "print('numpy' in sys.modules, 'dataclasses' in sys.modules, 'jmokit.commands.rect' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=fresh_env(),
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split() == ["False", "False", "True"]
 
 
 EXPONENT_PROBE = """
