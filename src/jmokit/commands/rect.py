@@ -13,8 +13,9 @@ def _batch(args) -> tuple[int, dict, list[str]]:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     if args.count > rectconcur.MAX_BATCH_COUNT:
-        raise UsageError(f"--count must be <= {rectconcur.MAX_BATCH_COUNT} "
-                         f"(each row holds about 1 KB), got {args.count}")
+        held = " (with --json each row is held, about 1 KB)" if args.json else ""
+        raise UsageError(f"--count must be <= {rectconcur.MAX_BATCH_COUNT}{held}, "
+                         f"got {args.count}")
     if args.rel_tol <= 0:
         raise UsageError(f"--rel-tol must be > 0, got {args.rel_tol}")
     if args.perturb <= 0:

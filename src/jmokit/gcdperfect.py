@@ -14,8 +14,12 @@ search_size exhaustively refutes other sizes up to 10^4, pruning by the
 necessary condition d(s) = |S| and by early gcd collisions.  Its DFS keeps
 the admissible candidates of each level as an int bitset over the pool, and
 adding a member clears the bits its gcd collisions rule out, using cached
-per-member bitsets keyed by gcd value; it never prunes by the classification
-itself, so the search stays an independent check of it.
+per-member bitsets keyed by gcd value.  A level stops before it walks its
+candidates when they are fewer than the members still needed, or when a
+divisor d < s of a chosen member s is met as gcd(s, t) by no chosen member
+and no candidate t.  It never prunes by the classification itself, so the
+search stays an independent check of it; a node is one pool index spanned
+by a level that passes both prunes.
 """
 
 from __future__ import annotations
@@ -44,9 +48,10 @@ class BudgetExceeded(ValueError):
 
 
 class GcdSet:
-    """Strictly increasing elements, at most MAX_CHECK_ELEMENT, with cached factorizations."""
+    """Strictly increasing elements, at most MAX_CHECK_ELEMENT, with cached factorizations
+    and divisor lists."""
 
-    __slots__ = ("elements", "_facts")
+    __slots__ = ("elements", "_facts", "_divs")
 
     def __init__(self, elements: Iterable[int]):
         elems = sorted(elements)
@@ -60,12 +65,20 @@ class GcdSet:
                              "factorizing by trial division")
         self.elements: tuple[int, ...] = tuple(elems)
         self._facts: dict[int, Factorization] = {}
+        self._divs: dict[int, list[int]] = {}
 
     def factorization(self, s: int) -> Factorization:
         f = self._facts.get(s)
         if f is None:
             f = self._facts[s] = factorize(s)
         return f
+
+    def divisors(self, s: int) -> list[int]:
+        """The divisors of s, ascending."""
+        d = self._divs.get(s)
+        if d is None:
+            d = self._divs[s] = self.factorization(s).divisors()
+        return d
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -106,7 +119,7 @@ def is_gcd_perfect(S: GcdSet) -> PerfectionReport:
         for t in S.elements:
             g = math.gcd(s, t)
             counts[g] = counts.get(g, 0) + 1
-        for d in S.factorization(s).divisors():
+        for d in S.divisors(s):
             c = counts.get(d, 0)
             if c != 1:
                 return PerfectionReport(False, (s, d, c), n)
@@ -186,18 +199,30 @@ def search_size(
     whose gcds with the two are equal.  Those gcd collisions rule out every
     superset, so a level walks only the candidates that pass every check.
     No pool member divides another (a | x with a != x gives d(x) > d(a)),
-    so gcd(a, x) = a never needs a check.  The last member needs no mask;
-    each full-size set is decided by is_gcd_perfect, reading the pool
-    filter's factorizations from one dict that every set shares, so each
-    number is factorized once.  For target sizes that are not powers of 2
-    the result is empty.
+    so gcd(a, x) = a never needs a check.
+
+    A level returns at once, before it walks its mask, when no superset of
+    its chosen members drawn from its mask can reach the target size or be
+    gcd-perfect: when the mask holds fewer candidates than members still
+    needed (the count prune), or when some chosen member s has a divisor
+    d < s that no chosen member and no candidate in the mask meets as
+    gcd(s, t) (the existence prune, one AND per divisor against the
+    member's table).  Both follow the definition alone, never the
+    classification, so the search stays an independent check of it.
+
+    The last member needs no mask; each full-size set is decided by
+    is_gcd_perfect, reading the pool filter's factorizations and divisor
+    lists from dicts that every set shares, so each number is factorized
+    once and each divisor list built once.  For target sizes that are not
+    powers of 2 the result is empty.
 
     The masks are unions of per-member tables {g: bits of x with
     gcd(pool[a], pool[x]) == g}, built on first use.  Pair masks are cached,
     and the cache is emptied when it holds PAIR_CACHE_SIZE of them.  A level
-    entered at start index s charges len(pool) - s nodes, one per index it
-    spans, and BudgetExceeded is raised once the total passes node_budget:
-    the verdict depends only on the full traversal's total.
+    entered at start index s that passes both prunes charges len(pool) - s
+    nodes, one per index it spans; a pruned level charges nothing.
+    BudgetExceeded is raised once the total passes node_budget, so the
+    verdict depends only on the full traversal's total.
     """
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
@@ -209,7 +234,9 @@ def search_size(
              if (f := factorize(s)).divisor_count == target_size}
     pool = list(facts)
     n = len(pool)
+    divs = {s: f.divisors() for s, f in facts.items()}
     tables: list[Optional[dict[int, int]]] = [None] * n
+    needs: list[Optional[list[int]]] = [None] * n
     pairs: dict[int, int] = {}  # i * n + j -> the pair's exclusion mask, i < j
 
     def table(a: int) -> dict[int, int]:
@@ -219,6 +246,14 @@ def search_size(
             for x, g in enumerate(map(math.gcd, pool, [pool[a]] * n)):
                 t[g] = t.get(g, 0) | 1 << x
         return t
+
+    def need(a: int) -> list[int]:
+        # for each divisor d < pool[a], the bits of x with gcd(pool[a], pool[x]) == d
+        b = needs[a]
+        if b is None:
+            t = table(a)
+            b = needs[a] = [t.get(g, 0) for g in divs[pool[a]][:-1]]
+        return b
 
     def pair(i: int, j: int) -> int:
         ti, tj = table(i), table(j)
@@ -235,21 +270,30 @@ def search_size(
     chosen: list[int] = []  # pool indices, ascending
     nodes = 0
 
-    def extend(mask: int, start: int) -> None:
+    def extend(mask: int, start: int, held: int) -> None:
+        # mask holds only indices >= start; held holds the chosen indices
         nonlocal nodes
-        if target_size - len(chosen) > n - start:
+        # once a member s is chosen the existence prune implies this test (the
+        # d(s) = target_size divisors of s need distinct t), so it only saves
+        # the ANDs, and it alone decides the root
+        if mask.bit_count() < target_size - len(chosen):
             return
+        reach = mask | held
+        for i in chosen:
+            if not all(map(reach.__and__, need(i))):
+                return
         nodes += n - start
         if nodes > node_budget:
             raise BudgetExceeded(node_budget)
         leaf = len(chosen) + 1 == target_size
-        while mask:  # mask holds only indices >= start
+        while mask:
             low = mask & -mask
             mask ^= low
             j = low.bit_length() - 1
             if leaf:
                 candidate = GcdSet([pool[i] for i in chosen] + [pool[j]])
                 candidate._facts = facts
+                candidate._divs = divs
                 if is_gcd_perfect(candidate).verdict:
                     found.append(candidate)
                 continue
@@ -257,8 +301,8 @@ def search_size(
             for i in chosen:
                 excl |= pairs.get(i * n + j) or pair(i, j)  # a pair mask holds bit j, never 0
             chosen.append(j)
-            extend(mask & ~excl, j + 1)
+            extend(mask & ~excl, j + 1, held | low)
             chosen.pop()
 
-    extend((1 << n) - 1, 0)
+    extend((1 << n) - 1, 0, 0)
     return found  # lexicographic by construction (pool ascending, DFS)

@@ -114,15 +114,18 @@ def test_pins_oracle_doubled_area_bound(capsys, monkeypatch):
 
 
 def test_rect_batch_count_bound(capsys, monkeypatch):
-    # 10^5 rows take seconds and about 110 MB; at a bound of 3 the count 3 is
-    # certified and 4 exits 2 before any configuration is built
+    # 10^5 rows take seconds, and with --json about 110 MB; at a bound of 3
+    # the count 3 is certified and 4 exits 2 before any configuration is
+    # built.  Only --json holds the rows, so only its message names their size.
     assert rectconcur.MAX_BATCH_COUNT == 10**5
     monkeypatch.setattr(rectconcur, "MAX_BATCH_COUNT", 3)
     code, out = run_cli(capsys, "rect", "batch", "--count", "3", "--json")
     assert code == 0 and len(json.loads(out)["rows"]) == 3
     assert cli.run(["rect", "batch", "--count", "4"]) == 2
+    assert capsys.readouterr().err == "error: --count must be <= 3, got 4\n"
+    assert cli.run(["rect", "batch", "--count", "4", "--json"]) == 2
     assert capsys.readouterr().err == (
-        "error: --count must be <= 3 (each row holds about 1 KB), got 4\n")
+        "error: --count must be <= 3 (with --json each row is held, about 1 KB), got 4\n")
 
 
 def test_gcdset_construct(capsys):

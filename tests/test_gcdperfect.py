@@ -13,7 +13,7 @@ from jmokit.gcdperfect import (
     search_size,
     structure_report,
 )
-from jmokit.kernel import factorize
+from jmokit.kernel import Factorization, factorize
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
 
@@ -163,11 +163,13 @@ def test_search_budget_exhaustion():
         search_size(2, 100, node_budget=3)
 
 
-@pytest.mark.parametrize("size, max_element, total, count", [(4, 150, 44241, 188),
-                                                             (8, 250, 62519, 0)])
+@pytest.mark.parametrize("size, max_element, total, count", [(4, 150, 10659, 188),
+                                                             (8, 250, 97, 0),
+                                                             (4, 400, 170625, 1393)])
 def test_search_budget_verdict_is_the_full_node_total(size, max_element, total, count):
-    # a level entered at start index s charges len(pool) - s nodes, so the
-    # search passes with exactly its full total and raises one node below it
+    # a level entered at start index s that passes both prunes charges
+    # len(pool) - s nodes and a pruned level none, so the search passes with
+    # exactly its full total and raises one node below it
     assert len(search_size(size, max_element, node_budget=total)) == count
     with pytest.raises(BudgetExceeded, match=f"\\({total - 1} nodes\\)"):
         search_size(size, max_element, node_budget=total - 1)
@@ -186,8 +188,8 @@ def brute_search(size: int, candidates) -> list[tuple[int, ...]]:
 def test_search_matches_combinations_over_the_pool():
     top = 60
     pool = {size: [s for s in range(1, top + 1) if divisor_count(s) == size]
-            for size in range(1, 9)}
-    for size in range(1, 9):
+            for size in range(1, 17)}
+    for size in range(1, 17):
         expected = brute_search(size, pool[size])
         for max_element in range(1, top + 1):
             found = [s.elements for s in search_size(size, max_element)]
@@ -231,7 +233,7 @@ def classification(k: int, n: int) -> list[tuple[int, ...]]:
     return sets
 
 
-@pytest.mark.parametrize("k, n", [(1, 1000), (2, 600), (3, 800)])
+@pytest.mark.parametrize("k, n", [(1, 1000), (2, 600), (3, 800), (3, 2000), (4, 10**4)])
 def test_search_finds_exactly_the_classification(k, n):
     found = [s.elements for s in search_size(2**k, n, node_budget=10**8)]
     expected = classification(k, n)
@@ -253,6 +255,11 @@ def test_classification_by_hand():
 @pytest.mark.parametrize("size", [3, 5, 6, 7])
 def test_search_sizes_not_powers_of_two_are_empty(size):
     assert search_size(size, 1000) == []
+
+
+@pytest.mark.parametrize("size", range(9, 16))
+def test_search_sizes_nine_to_fifteen_are_empty(size):
+    assert search_size(size, 3000) == []
 
 
 def test_search_rejects_out_of_range():
@@ -280,13 +287,22 @@ def test_prime_membership_count():
 
 
 def test_search_factorizes_each_number_once(monkeypatch):
-    # the leaf checks read the pool filter's factorizations
+    # the leaf checks read the pool filter's factorizations and one divisor
+    # list per pool member, built once
     calls = []
+    divisor_lists = []
+    divisors = Factorization.divisors
 
     def counting_factorize(s):
         calls.append(s)
         return factorize(s)
 
+    def counting_divisors(f):
+        divisor_lists.append(f.value)
+        return divisors(f)
+
     monkeypatch.setattr(gcdperfect, "factorize", counting_factorize)
+    monkeypatch.setattr(Factorization, "divisors", counting_divisors)
     found = search_size(4, 200)
     assert found and sorted(calls) == list(range(1, 201))
+    assert divisor_lists == [s for s in range(1, 201) if factorize(s).divisor_count == 4]
