@@ -32,14 +32,16 @@ from a fresh Namespace, so no state carries over.  It is built group by
 group: _build_parser makes the top parser and the six group parsers, and
 run() imports the command module of the group that argv starts with, or of
 every group when argv starts with none (-h, --version, a typo), and adds its
-action parsers, each group once per parser.  An argv `group action ...`
-whose arguments that start with - are each exactly one of the action's
-options (-h and --help aside) goes straight to that action parser, about a
-third of the whole tree's parse time.  Every other argv, and one the action
-parser leaves an argument of, is parsed by the whole tree, since argparse
-reads options at the top and group levels too (`--=x` is ambiguous there);
-the action parser is the same object in both routes, so every usage, help
-and error text is the tree's.
+action parsers, each group once per parser.  The module declares each
+action's own arguments; cli then adds --json and --timings to every action
+parser, after those arguments, and sets its handler, the module's _<action>.
+An argv `group action ...` whose arguments that start with - are each
+exactly one of the action's options (-h and --help aside) goes straight to
+that action parser, about a third of the whole tree's parse time.  Every
+other argv, and one the action parser leaves an argument of, is parsed by
+the whole tree, since argparse reads options at the top and group levels
+too (`--=x` is ambiguous there); the action parser is the same object in
+both routes, so every usage, help and error text is the tree's.
 """
 
 from __future__ import annotations
@@ -253,6 +255,10 @@ def _add_actions(parser: argparse.ArgumentParser, argv: list[str]) -> None:
             module = __import__(f"{__package__}.commands.{name}", fromlist=["add_actions"])
             module.add_actions(actions)
             for action, p in actions.choices.items():
+                # before the options are read, so --json and --timings take the direct parse
+                p.add_argument("--json", action="store_true", help="emit a JSON report envelope")
+                p.add_argument("--timings", action="store_true", help="include wall-clock timings")
+                p.set_defaults(handler=getattr(module, "_" + action))
                 options = p._option_string_actions.keys() - {"-h", "--help"}
                 parser.direct[name, action] = p, options
 

@@ -1,12 +1,14 @@
 """The subcommand handlers of jmokit.cli, one module per group.
 
 Each module (pins, gcdset, pack, cyclic, funceq, rect) exposes
-add_actions(actions), which adds the group's action parsers, each with its
-handler as the `handler` default.  A handler takes the parsed Namespace and
-returns (exit code, envelope fields, human lines).  cli imports a group's
-module only when argv names that group, or every module when it names none
-(-h, --version, a typo).  Each handler imports its layers when it runs, so
-that such a call loads no layer but rectconcur, whose DEFAULT_REL_TOL is a
+add_actions(actions), which adds the group's action parsers with their own
+arguments only, and one handler per action, named _<action> (_solve for
+`pins solve`).  cli adds --json and --timings to every action parser and
+sets its handler.  A handler takes the parsed Namespace and returns (exit
+code, envelope fields, human lines).  cli imports a group's module only
+when argv names that group, or every module when it names none (-h,
+--version, a typo).  Each handler imports its layers when it runs, so that
+such a call loads no layer but rectconcur, whose DEFAULT_REL_TOL is a
 parser default.
 
 This package also holds what the handlers share.  It lives here and not in
@@ -22,11 +24,6 @@ import math
 
 class UsageError(ValueError):
     pass
-
-
-def add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="emit a JSON report envelope")
-    p.add_argument("--timings", action="store_true", help="include wall-clock timings")
 
 
 def parse_file(parse, path: str, what: str):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from . import UsageError, add_common, finite, parse_file, write_file
+from . import UsageError, finite, parse_file, write_file
 
 
 def _report_fields(v: cyclic.CycleVector, tol: float) -> dict:
@@ -90,10 +90,6 @@ def add_actions(actions) -> None:
     p.add_argument("--tol", type=finite, default=1e-10)
     p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
     p.add_argument("--out", default=None, help="write the solution entries here")
-    p.set_defaults(handler=_solve)
-    add_common(p)
     p = actions.add_parser("verify", help="residuals and identities of an entries file")
     p.add_argument("--input", required=True)
     p.add_argument("--tol", type=finite, default=1e-8)
-    p.set_defaults(handler=_verify)
-    add_common(p)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import add_common, parse_file
+from . import parse_file
 
 
 def _check(args) -> tuple[int, dict, list[str]]:
@@ -51,9 +51,5 @@ def _trace(args) -> tuple[int, dict, list[str]]:
 def add_actions(actions) -> None:
     p = actions.add_parser("check", help="all violations within a table file")
     p.add_argument("--input", required=True, help="text file of 'n value' lines")
-    p.set_defaults(handler=_check)
-    add_common(p)
     p = actions.add_parser("trace", help="forced derivation f(1..N) = 1, with replay")
     p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=_trace)
-    add_common(p)

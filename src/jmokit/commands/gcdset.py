@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import UsageError, add_common
+from . import UsageError
 
 
 def _int_list(raw: str) -> list[int]:
@@ -38,8 +38,7 @@ def _check(args) -> tuple[int, dict, list[str]]:
 def _construct(args) -> tuple[int, dict, list[str]]:
     from .. import gcdperfect
 
-    s = gcdperfect.construct(args.k, _int_list(args.p) if args.p else [],
-                             _int_list(args.q) if args.q else [])
+    s = gcdperfect.construct(args.k, _int_list(args.p), _int_list(args.q))
     report = gcdperfect.is_gcd_perfect(s)
     env_fields = {"elements": list(s.elements), "verdict": report.verdict}
     return (0 if report.verdict else 1), env_fields, [
@@ -67,17 +66,11 @@ def _search(args) -> tuple[int, dict, list[str]]:
 def add_actions(actions) -> None:
     p = actions.add_parser("check", help="decide gcd-perfection")
     p.add_argument("--elements", required=True, help="comma-separated positive integers")
-    p.set_defaults(handler=_check)
-    add_common(p)
     p = actions.add_parser("construct", help="2^k witness from prime lists")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", default="", help="comma-separated primes (k of them)")
     p.add_argument("--q", default="", help="comma-separated primes (k of them)")
-    p.set_defaults(handler=_construct)
-    add_common(p)
     p = actions.add_parser("search", help="exhaustive search for a given size")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="node budget (default 10^6)")
-    p.set_defaults(handler=_search)
-    add_common(p)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from . import UsageError, add_common, parse_file, write_file
+from . import UsageError, parse_file, write_file
 
 
 def _report_fields(report: tripack.PackingReport) -> dict:
@@ -89,14 +89,8 @@ def add_actions(actions) -> None:
     p.add_argument("--side", required=True, help="side length L (exact rational, >= 4)")
     p.add_argument("--margin", default="0", help="extra rational inset from the boundary")
     p.add_argument("--out", default=None, help="write the packing file here")
-    p.set_defaults(handler=_build)
-    add_common(p)
     p = actions.add_parser("validate", help="exact validation of a packing file")
     p.add_argument("--input", required=True)
-    p.set_defaults(handler=_validate)
-    add_common(p)
     p = actions.add_parser("render", help="SVG of triangles and their hexagons")
     p.add_argument("--input", required=True)
     p.add_argument("--svg", required=True)
-    p.set_defaults(handler=_render)
-    add_common(p)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from . import add_common
-
 
 def _solve(args) -> tuple[int, dict, list[str]]:
     from .. import pinopt
@@ -36,10 +34,6 @@ def _oracle(args) -> tuple[int, dict, list[str]]:
 def add_actions(actions) -> None:
     p = actions.add_parser("solve", help="witness plus optimality certificate")
     p.add_argument("--doubled-area", type=int, required=True, dest="doubled_area")
-    p.set_defaults(handler=_solve)
-    add_common(p)
     p = actions.add_parser("oracle", help="exhaustive scan near the origin")
     p.add_argument("--doubled-area", type=int, required=True, dest="doubled_area")
     p.add_argument("--radius", type=int, required=True)
-    p.set_defaults(handler=_oracle)
-    add_common(p)

@@ -6,7 +6,7 @@ import math
 import random
 
 from .. import rectconcur
-from . import UsageError, add_common, finite, write_file
+from . import UsageError, finite, write_file
 
 
 def _batch(args) -> tuple[int, dict, list[str]]:
@@ -97,10 +97,6 @@ def add_actions(actions) -> None:
     p.add_argument("--perturb", type=finite, default=1.0,
                    help="scale the solved third height (1.0 = constraint holds)")
     p.add_argument("--rel-tol", type=finite, default=rectconcur.DEFAULT_REL_TOL, dest="rel_tol")
-    p.set_defaults(handler=_batch)
-    add_common(p)
     p = actions.add_parser("render", help="SVG of one certified configuration")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svg", required=True)
-    p.set_defaults(handler=_render)
-    add_common(p)

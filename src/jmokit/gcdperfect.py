@@ -206,15 +206,17 @@ def search_size(
     gcd-perfect: when the mask holds fewer candidates than members still
     needed (the count prune), or when some chosen member s has a divisor
     d < s that no chosen member and no candidate in the mask meets as
-    gcd(s, t) (the existence prune, one AND per divisor against the
-    member's table).  Both follow the definition alone, never the
-    classification, so the search stays an independent check of it.
+    gcd(s, t) (the existence prune: the member's table must hold all
+    target_size divisors of s as keys, and every entry must meet the mask
+    or the chosen members; the entry of s itself is the member's own bit).
+    Both follow the definition alone, never the classification, so the
+    search stays an independent check of it.
 
     The last member needs no mask; each full-size set is decided by
-    is_gcd_perfect, reading the pool filter's factorizations and divisor
-    lists from dicts that every set shares, so each number is factorized
-    once and each divisor list built once.  For target sizes that are not
-    powers of 2 the result is empty.
+    is_gcd_perfect, reading the pool filter's divisor lists from one dict
+    that every set shares, so each number is factorized once and each
+    divisor list built once.  For target sizes that are not powers of 2
+    the result is empty.
 
     The masks are unions of per-member tables {g: bits of x with
     gcd(pool[a], pool[x]) == g}, built on first use.  Pair masks are cached,
@@ -230,13 +232,11 @@ def search_size(
         raise ValueError("max_element above 10^4 is not supported")
     if node_budget < 0:
         raise ValueError(f"node_budget must be >= 0, got {node_budget}")
-    facts = {s: f for s in range(1, max_element + 1)
-             if (f := factorize(s)).divisor_count == target_size}
-    pool = list(facts)
+    divs = {s: f.divisors() for s in range(1, max_element + 1)
+            if (f := factorize(s)).divisor_count == target_size}
+    pool = list(divs)
     n = len(pool)
-    divs = {s: f.divisors() for s, f in facts.items()}
     tables: list[Optional[dict[int, int]]] = [None] * n
-    needs: list[Optional[list[int]]] = [None] * n
     pairs: dict[int, int] = {}  # i * n + j -> the pair's exclusion mask, i < j
 
     def table(a: int) -> dict[int, int]:
@@ -246,14 +246,6 @@ def search_size(
             for x, g in enumerate(map(math.gcd, pool, [pool[a]] * n)):
                 t[g] = t.get(g, 0) | 1 << x
         return t
-
-    def need(a: int) -> list[int]:
-        # for each divisor d < pool[a], the bits of x with gcd(pool[a], pool[x]) == d
-        b = needs[a]
-        if b is None:
-            t = table(a)
-            b = needs[a] = [t.get(g, 0) for g in divs[pool[a]][:-1]]
-        return b
 
     def pair(i: int, j: int) -> int:
         ti, tj = table(i), table(j)
@@ -280,7 +272,8 @@ def search_size(
             return
         reach = mask | held
         for i in chosen:
-            if not all(map(reach.__and__, need(i))):
+            t = table(i)
+            if len(t) < target_size or not all(map(reach.__and__, t.values())):
                 return
         nodes += n - start
         if nodes > node_budget:
@@ -292,7 +285,6 @@ def search_size(
             j = low.bit_length() - 1
             if leaf:
                 candidate = GcdSet([pool[i] for i in chosen] + [pool[j]])
-                candidate._facts = facts
                 candidate._divs = divs
                 if is_gcd_perfect(candidate).verdict:
                     found.append(candidate)
