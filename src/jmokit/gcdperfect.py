@@ -13,13 +13,13 @@ direct gcd counting; the structure validator asserts the squarefree shape;
 search_size exhaustively refutes other sizes up to 10^4, pruning by the
 necessary condition d(s) = |S| and by early gcd collisions.  Its DFS keeps
 the admissible candidates of each level as an int bitset over the pool, and
-adding a member clears the bits its gcd collisions rule out, using cached
-per-member bitsets keyed by gcd value.  A level stops before it walks its
-candidates when they are fewer than the members still needed, or when a
-divisor d < s of a chosen member s is met as gcd(s, t) by no chosen member
-and no candidate t.  It never prunes by the classification itself, so the
-search stays an independent check of it; a node is one pool index spanned
-by a level that passes both prunes.
+adding a member clears the bits its gcd collisions rule out, using
+per-member bitsets keyed by gcd value.  Each inner level branches only over
+the candidates t that meet one divisor d of a chosen member s as gcd(s, t),
+the unmet (s, d) with the fewest, since every gcd-perfect superset holds
+exactly one of them; an unmet divisor that no candidate meets stops the
+level.  It never prunes by the classification itself, so the search stays
+an independent check of it; a node is one level entered.
 """
 
 from __future__ import annotations
@@ -29,14 +29,12 @@ from typing import Iterable, NamedTuple, Optional
 
 from .kernel import Factorization, factorize, is_prime
 
-# search_size's node budget when the caller sets none.
+# search_size's node budget when the caller sets none: a node is one member
+# added, and every size at max_element 10^4 fits (size 4 spends about 9.9 * 10^5).
 DEFAULT_NODE_BUDGET = 10**6
 # GcdSet refuses larger elements: factorize is trial division, which takes
 # about 0.25 s for a prime near 10^12 and hours for one near 10^18.
 MAX_CHECK_ELEMENT = 10**12
-# search_size empties its pair-mask cache when it holds this many masks: at
-# most 2^16 * len(pool) / 8 bytes, about 21 MB for size 4 at max 10^4.
-PAIR_CACHE_SIZE = 1 << 16
 
 
 class BudgetExceeded(ValueError):
@@ -188,43 +186,43 @@ def structure_report(S: GcdSet) -> StructureReport:
 def search_size(
     target_size: int, max_element: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[GcdSet]:
-    """Every gcd-perfect subset of [1..max_element] with the target size.
+    """Every gcd-perfect subset of [1..max_element] with the target size, in
+    lexicographic order.
 
     The candidate pool is restricted to elements with d(s) = target_size
-    (necessary since the divisors of any s in S biject onto S).  A DFS adds
-    pool members in ascending order, and each level keeps a mask: an int
-    bitset over pool indices of the candidates that can still join.  Adding
-    member j clears, for each chosen i, the pair mask of (i, j): every x
-    whose gcd with pool[i] or with pool[j] equals gcd(pool[i], pool[j]), or
-    whose gcds with the two are equal.  Those gcd collisions rule out every
-    superset, so a level walks only the candidates that pass every check.
-    No pool member divides another (a | x with a != x gives d(x) > d(a)),
-    so gcd(a, x) = a never needs a check.
+    (necessary since the divisors of any s in S biject onto S).  A DFS fixes
+    each pool member in turn as the least member, and each level keeps a
+    mask: an int bitset over pool indices of the candidates that can still
+    join.  Adding member j clears, for each chosen i, the pair mask of
+    (i, j): every x whose gcd with pool[i] or with pool[j] equals
+    gcd(pool[i], pool[j]), or whose gcds with the two are equal.  Those gcd
+    collisions rule out every superset.  No pool member divides another
+    (a | x with a != x gives d(x) > d(a)), so gcd(a, x) = a never needs a
+    check.
 
-    A level returns at once, before it walks its mask, when no superset of
-    its chosen members drawn from its mask can reach the target size or be
-    gcd-perfect: when the mask holds fewer candidates than members still
-    needed (the count prune), or when some chosen member s has a divisor
-    d < s that no chosen member and no candidate in the mask meets as
-    gcd(s, t) (the existence prune: the member's table must hold all
-    target_size divisors of s as keys, and every entry must meet the mask
-    or the chosen members; the entry of s itself is the member's own bit).
-    Both follow the definition alone, never the classification, so the
-    search stays an independent check of it.
+    A level below the root branches over one unmet (s, d) only: a chosen
+    member s and a divisor d of s that no chosen member meets as gcd(s, t),
+    the one whose candidates t in the mask with gcd(s, t) = d are fewest.
+    Every gcd-perfect superset of the chosen members holds exactly one such
+    t, so each set is reached along exactly one branch, and an unmet (s, d)
+    with no candidate returns at once.  This follows the definition alone,
+    never the classification, so the search stays an independent check of
+    it.  Branches leave the pool order, so the sets are sorted at the end.
 
-    The last member needs no mask; each full-size set is decided by
-    is_gcd_perfect, reading the pool filter's divisor lists from one dict
-    that every set shares, so each number is factorized once and each
-    divisor list built once.  For target sizes that are not powers of 2
-    the result is empty.
+    The level that needs one more member makes no such choice: it walks its
+    whole mask, and each full-size set is decided by is_gcd_perfect,
+    reading the pool filter's divisor lists from one dict that every set
+    shares, so each number is factorized once and each divisor list built
+    once.  For target sizes that are not powers of 2 the result is empty.
 
-    The masks are unions of per-member tables {g: bits of x with
-    gcd(pool[a], pool[x]) == g}, built on first use.  Pair masks are cached,
-    and the cache is emptied when it holds PAIR_CACHE_SIZE of them.  A level
-    entered at start index s that passes both prunes charges len(pool) - s
-    nodes, one per index it spans; a pruned level charges nothing.
-    BudgetExceeded is raised once the total passes node_budget, so the
-    verdict depends only on the full traversal's total.
+    The masks are unions of per-member tables {d: bits of x with
+    gcd(pool[a], pool[x]) == d}, one entry per divisor d of pool[a], built
+    on first use.  Pair masks are built when needed and never kept: a cache
+    of them bought no time.  A node is one level entered below the root,
+    one member added, whether or not the level returns at once; a level
+    charges the levels it enters before it enters any.  BudgetExceeded is
+    raised once the total passes node_budget, so the verdict depends only
+    on the full traversal's total.
     """
     if target_size < 1:
         raise ValueError("target_size must be >= 1")
@@ -237,14 +235,13 @@ def search_size(
     pool = list(divs)
     n = len(pool)
     tables: list[Optional[dict[int, int]]] = [None] * n
-    pairs: dict[int, int] = {}  # i * n + j -> the pair's exclusion mask, i < j
 
     def table(a: int) -> dict[int, int]:
         t = tables[a]
         if t is None:
-            t = tables[a] = {}
+            t = tables[a] = dict.fromkeys(divs[pool[a]], 0)  # a divisor no gcd meets keeps 0
             for x, g in enumerate(map(math.gcd, pool, [pool[a]] * n)):
-                t[g] = t.get(g, 0) | 1 << x
+                t[g] |= 1 << x
         return t
 
     def pair(i: int, j: int) -> int:
@@ -253,48 +250,48 @@ def search_size(
         m = ti[g] | tj[g]
         for h, bits in ti.items():
             m |= bits & tj.get(h, 0)
-        if len(pairs) >= PAIR_CACHE_SIZE:
-            pairs.clear()
-        pairs[i * n + j] = m
         return m
 
     found: list[GcdSet] = []
-    chosen: list[int] = []  # pool indices, ascending
+    chosen: list[int] = []  # pool indices; chosen[0] is the least
     nodes = 0
 
-    def extend(mask: int, start: int, held: int) -> None:
-        # mask holds only indices >= start; held holds the chosen indices
+    def extend(mask: int, held: int) -> None:
+        # mask holds only indices above chosen[0]; held holds the chosen indices
         nonlocal nodes
-        # once a member s is chosen the existence prune implies this test (the
-        # d(s) = target_size divisors of s need distinct t), so it only saves
-        # the ANDs, and it alone decides the root
-        if mask.bit_count() < target_size - len(chosen):
-            return
-        reach = mask | held
-        for i in chosen:
-            t = table(i)
-            if len(t) < target_size or not all(map(reach.__and__, t.values())):
-                return
-        nodes += n - start
-        if nodes > node_budget:
-            raise BudgetExceeded(node_budget)
-        leaf = len(chosen) + 1 == target_size
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            j = low.bit_length() - 1
-            if leaf:
-                candidate = GcdSet([pool[i] for i in chosen] + [pool[j]])
+        if len(chosen) + 1 == target_size:
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                candidate = GcdSet([pool[i] for i in chosen] + [pool[low.bit_length() - 1]])
                 candidate._divs = divs
                 if is_gcd_perfect(candidate).verdict:
                     found.append(candidate)
-                continue
-            excl = 0
+            return
+        # a least member leaves target_size - 1 indices above it; below the
+        # root, some chosen member always has an unmet divisor, so the loop
+        # below replaces branch
+        branch, fewest = mask >> target_size - 1, n
+        for i in chosen:
+            for bits in table(i).values():
+                if not bits & held and (k := (bits & mask).bit_count()) < fewest:
+                    if not k:
+                        return
+                    branch, fewest = bits & mask, k
+        nodes += branch.bit_count()
+        if nodes > node_budget:
+            raise BudgetExceeded(node_budget)
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            j = low.bit_length() - 1
+            excl = 0 if chosen else 2 * low - 1  # only indices above the least member
             for i in chosen:
-                excl |= pairs.get(i * n + j) or pair(i, j)  # a pair mask holds bit j, never 0
+                excl |= pair(i, j)
             chosen.append(j)
-            extend(mask & ~excl, j + 1, held | low)
+            extend(mask & ~excl, held | low)
             chosen.pop()
 
-    extend((1 << n) - 1, 0, 0)
-    return found  # lexicographic by construction (pool ascending, DFS)
+    extend((1 << n) - 1, 0)
+    found.sort(key=lambda s: s.elements)
+    return found

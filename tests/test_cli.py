@@ -100,12 +100,13 @@ def test_pins_oracle_radius_bound(capsys, monkeypatch):
 
 
 def test_pins_oracle_doubled_area_bound(capsys, monkeypatch):
-    # D = 2000 takes about 2 s at any radius; one above the bound exits 2
-    # before any scan, and the message quotes the bound in force
-    assert pinopt.MAX_ORACLE_DOUBLED_AREA == 2000
-    assert cli.run(["pins", "oracle", "--doubled-area", "2001", "--radius", "100"]) == 2
+    # D = 4042, the contest instance, takes about 6 s at radius 127; one
+    # above the bound exits 2 before any scan, and the message quotes the
+    # bound in force
+    assert pinopt.MAX_ORACLE_DOUBLED_AREA == 4042
+    assert cli.run(["pins", "oracle", "--doubled-area", "4043", "--radius", "100"]) == 2
     assert capsys.readouterr().err == (
-        "error: doubled area 2001 is above the bound MAX_ORACLE_DOUBLED_AREA = 2000\n")
+        "error: doubled area 4043 is above the bound MAX_ORACLE_DOUBLED_AREA = 4042\n")
     monkeypatch.setattr(pinopt, "MAX_ORACLE_DOUBLED_AREA", 2)
     code, out = run_cli(capsys, "pins", "oracle", "--doubled-area", "2", "--radius", "3", "--json")
     assert code == 0 and json.loads(out)["cost"] == 3
