@@ -7,10 +7,10 @@ import math
 from . import UsageError, finite, parse_file, write_file
 
 
-def _report_fields(v: cyclic.CycleVector, tol: float) -> dict:
+def _report_fields(v: cyclic.CycleVector, res: cyclic.ResidualReport, tol: float) -> dict:
+    """The envelope's residual, identity and min/max fields, from v's residuals res."""
     from .. import cyclic
 
-    res = cyclic.residuals(v)
     fields = {"residual_max_abs": res.max_abs}
     if res.max_abs <= tol:
         ident = cyclic.identity_checks(v, tol)
@@ -53,7 +53,7 @@ def _solve(args) -> tuple[int, dict, list[str]]:
         f"in {record.iterations} iteration(s), residual {record.residual:.3e}",
     ]
     if record.converged:
-        env_fields.update(_report_fields(solution, args.tol))
+        env_fields.update(_report_fields(solution, cyclic.residuals(solution), args.tol))
         human.append("entries: " + " ".join(f"{e:.6f}" for e in solution.entries))
     if args.out:
         write_file(args.out, cyclic.dump_entries(solution))
@@ -71,7 +71,7 @@ def _verify(args) -> tuple[int, dict, list[str]]:
     human = [f"n = {v.n}: residual max |.| = {res.max_abs:.3e} "
              f"({'within' if ok else 'EXCEEDS'} tol {args.tol:.1e})"]
     if ok:
-        env_fields.update(_report_fields(v, args.tol))
+        env_fields.update(_report_fields(v, res, args.tol))
         ident = env_fields["identities"]
         human.append(
             f"identity defects: sums {ident['sum_vs_reciprocal_defect']:.3e}, "

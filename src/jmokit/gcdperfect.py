@@ -62,20 +62,28 @@ class GcdSet:
             raise ValueError(f"element {elems[-1]} is above 10^12, the bound for "
                              "factorizing by trial division")
         self.elements: tuple[int, ...] = tuple(elems)
-        self._facts: dict[int, Factorization] = {}
-        self._divs: dict[int, list[int]] = {}
+        # both caches are made on first use; search_size's sets share its
+        # divisor dict and never factorize
+        self._facts: Optional[dict[int, Factorization]] = None
+        self._divs: Optional[dict[int, list[int]]] = None
 
     def factorization(self, s: int) -> Factorization:
-        f = self._facts.get(s)
+        facts = self._facts
+        if facts is None:
+            facts = self._facts = {}
+        f = facts.get(s)
         if f is None:
-            f = self._facts[s] = factorize(s)
+            f = facts[s] = factorize(s)
         return f
 
     def divisors(self, s: int) -> list[int]:
         """The divisors of s, ascending."""
-        d = self._divs.get(s)
+        divs = self._divs
+        if divs is None:
+            divs = self._divs = {}
+        d = divs.get(s)
         if d is None:
-            d = self._divs[s] = self.factorization(s).divisors()
+            d = divs[s] = self.factorization(s).divisors()
         return d
 
     def __len__(self) -> int:
@@ -214,6 +222,16 @@ def search_size(
     reading the pool filter's divisor lists from one dict that every set
     shares, so each number is factorized once and each divisor list built
     once.  For target sizes that are not powers of 2 the result is empty.
+
+    That check never rejects a set the walk reaches.  Of any three members,
+    the one added last was outside the pair mask of the other two, so the
+    three pairwise gcds are distinct.  Hence for each member s the map
+    t -> gcd(s, t) is injective on S: two members t != u with
+    gcd(s, t) = gcd(s, u) would make such a triple, and gcd(s, t) = s = gcd(s, s)
+    would need s | t, which no two pool members allow.  The map goes into
+    the d(s) = |S| divisors of s, so it is onto as well, and S is
+    gcd-perfect.  The call stays as the independent certificate of each
+    reported set.
 
     The masks are unions of per-member tables {d: bits of x with
     gcd(pool[a], pool[x]) == d}, one entry per divisor d of pool[a], built

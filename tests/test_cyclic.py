@@ -1,10 +1,11 @@
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from jmokit import cyclic
@@ -79,18 +80,17 @@ def test_reduced_residuals_constant_ansatz():
 
 def test_reduced_bounded_by_full_residuals():
     # algebra: reduced_i = odd_i + odd_{i+1} + even_i, so |reduced| <= 3 max
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(200):
-        n = int(rng.integers(4, 10))
-        entries = tuple(10.0 ** rng.uniform(-1, 1, size=2 * n))
+        n = rng.randint(4, 9)
+        entries = tuple(10.0 ** rng.uniform(-1, 1) for _ in range(2 * n))
         v = CycleVector(n, entries)
         full = residuals(v)
-        odd = np.array(full.odd_residuals)
-        even = np.array(full.even_residuals)
-        reduced = np.array(cyclic._reduced(list(v.even())))
-        recombined = odd + np.roll(odd, -1) + even
-        assert np.allclose(reduced, recombined, rtol=0, atol=1e-9)
-        assert np.max(np.abs(reduced)) <= 3 * full.max_abs + 1e-12
+        odd, even = full.odd_residuals, full.even_residuals
+        reduced = cyclic._reduced(list(v.even()))
+        recombined = [o + o_next + e for o, o_next, e in zip(odd, odd[1:] + odd[:1], even)]
+        assert all(abs(r - c) <= 1e-9 for r, c in zip(reduced, recombined))
+        assert max(map(abs, reduced)) <= 3 * full.max_abs + 1e-12
 
 
 def test_solve_from_ones():
@@ -109,33 +109,46 @@ def test_solve_fixed_point_needs_no_iterations():
 
 def test_solve_multistart_lands_on_canonical():
     for n in (4, 10):
-        target = np.array((1.0, 2.0) * n)
+        target = (1.0, 2.0) * n
         for seed in range(20):
             solution, record = solve(n, seed, tol=1e-10)
             assert record.converged, (n, seed)
-            assert np.max(np.abs(np.array(solution.entries) - target)) < 1e-6
+            assert max(abs(a - b) for a, b in zip(solution.entries, target)) < 1e-6
 
 
-def dense_reduced_jacobian(b):
-    # d/db_j of b_i - (1/b_{i-1} + 2/b_i + 1/b_{i+1}), built entry by entry
+def reduced_jacobian(b):
+    # d/db_j of b_i - (1/b_{i-1} + 2/b_i + 1/b_{i+1}), exactly, entry by
+    # entry: {(i, j): J_ij} over the 3n stencil entries
     n = len(b)
-    jac = np.zeros((n, n))
+    inv_sq = [1 / F(x) ** 2 for x in b]
+    jac = {}
     for i in range(n):
-        jac[i, i] = 1.0 + 2.0 / b[i] ** 2
+        jac[i, i] = 1 + 2 * inv_sq[i]
         for j in ((i - 1) % n, (i + 1) % n):
-            jac[i, j] += 1.0 / b[j] ** 2
+            jac[i, j] = jac.get((i, j), 0) + inv_sq[j]
     return jac
 
 
 @pytest.mark.parametrize("n", [4, 5, 7, 30, 300])
 def test_newton_step_matches_dense_solve(n):
-    rng = np.random.default_rng(n)
+    # every column of J exceeds its off-diagonal absolute sum by at least 1,
+    # so ||J^-1||_1 <= 1, and the exact solution s* of J s* = -g lies within
+    # ||J s + g||_1 of the float step s in the 1-norm
+    rng = random.Random(n)
     for _ in range(10):
-        b = 10.0 ** rng.uniform(-1.0, 1.0, size=n)
-        g = rng.uniform(-5.0, 5.0, size=n)
-        step = np.array(cyclic._newton_step(b.tolist(), g.tolist()))
-        expected = np.linalg.solve(dense_reduced_jacobian(b), -g)
-        assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
+        b = [10.0 ** rng.uniform(-1.0, 1.0) for _ in range(n)]
+        g = [rng.uniform(-5.0, 5.0) for _ in range(n)]
+        jac = reduced_jacobian(b)
+        margins = [jac[j, j] for j in range(n)]
+        for (i, j), entry in jac.items():
+            if i != j:
+                margins[j] -= abs(entry)
+        assert min(margins) >= 1
+        step = [F(x) for x in cyclic._newton_step(b, g)]
+        defect = [F(x) for x in g]
+        for (i, j), entry in jac.items():
+            defect[i] += entry * step[j]
+        assert 10**12 * sum(map(abs, defect)) <= sum(map(abs, step))
 
 
 def test_solve_sweep_certifies_every_start():
@@ -216,20 +229,21 @@ def test_minmax_certificate_after_solve():
 
 def test_mean_inequalities_sanity():
     # HM <= AM and QM >= AM on random positive vectors, equality iff constant
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(1000):
-        n = int(rng.integers(2, 12))
-        v = 10.0 ** rng.uniform(-1, 1, size=n)
-        am = v.mean()
-        hm = n / np.sum(1.0 / v)
-        qm = math.sqrt(float(np.mean(v**2)))
+        n = rng.randint(2, 11)
+        v = [10.0 ** rng.uniform(-1, 1) for _ in range(n)]
+        am = math.fsum(v) / n
+        hm = n / math.fsum(1.0 / x for x in v)
+        qm = math.sqrt(math.fsum(x * x for x in v) / n)
         assert hm <= am + 1e-12
         assert qm >= am - 1e-12
-        if np.max(v) - np.min(v) > 1e-6:
+        if max(v) - min(v) > 1e-6:
             assert hm < am and qm > am
-    constant = np.full(7, 3.7)
-    assert abs(7 / np.sum(1 / constant) - constant.mean()) < 1e-12
-    assert abs(math.sqrt(float(np.mean(constant**2))) - constant.mean()) < 1e-12
+    constant = [3.7] * 7
+    mean = math.fsum(constant) / 7
+    assert abs(7 / math.fsum(1 / x for x in constant) - mean) < 1e-12
+    assert abs(math.sqrt(math.fsum(x * x for x in constant) / 7) - mean) < 1e-12
 
 
 def test_entries_roundtrip():

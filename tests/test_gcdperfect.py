@@ -289,7 +289,8 @@ def test_prime_membership_count():
 
 def test_search_factorizes_each_number_once(monkeypatch):
     # the leaf checks read the pool filter's factorizations and one divisor
-    # list per pool member, built once
+    # list per pool member, built once, from one dict that the found sets
+    # share; no found set makes a factorization cache
     calls = []
     divisor_lists = []
     divisors = Factorization.divisors
@@ -307,3 +308,5 @@ def test_search_factorizes_each_number_once(monkeypatch):
     found = search_size(4, 200)
     assert found and sorted(calls) == list(range(1, 201))
     assert divisor_lists == [s for s in range(1, 201) if factorize(s).divisor_count == 4]
+    assert all(s._facts is None for s in found)
+    assert len({id(s._divs) for s in found}) == 1

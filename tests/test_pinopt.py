@@ -2,7 +2,6 @@ import math
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from jmokit import scan
@@ -113,16 +112,12 @@ def test_oracle_equivalence_small():
 
 def test_bounding_box_dominates_doubled_area():
     # doubled area <= width * height of the axis-parallel bounding box
-    rng = np.random.default_rng(0)
-    pts = rng.integers(-50, 51, size=(100_000, 3, 2))
-    ax, ay = pts[:, 0, 0], pts[:, 0, 1]
-    bx, by = pts[:, 1, 0], pts[:, 1, 1]
-    cx, cy = pts[:, 2, 0], pts[:, 2, 1]
-    doubled = np.abs(ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    xs = pts[:, :, 0]
-    ys = pts[:, :, 1]
-    box = (xs.max(axis=1) - xs.min(axis=1)) * (ys.max(axis=1) - ys.min(axis=1))
-    assert np.all(doubled <= box)
+    coord = random.Random(0).randint
+    for _ in range(100_000):
+        ax, ay, bx, by, cx, cy = (coord(-50, 50) for _ in range(6))
+        doubled = abs(ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+        box = (max(ax, bx, cx) - min(ax, bx, cx)) * (max(ay, by, cy) - min(ay, by, cy))
+        assert doubled <= box, (ax, ay, bx, by, cx, cy)
 
 
 def reference_min_cost_triangle(doubled_area, radius, cost_cap):
