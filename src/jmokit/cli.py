@@ -22,19 +22,20 @@ A fresh call pays only for the subcommand it runs.  The module itself loads
 no problem layer, and not the json package: the writer takes
 encode_basestring_ascii from _json, the C function json.encoder itself
 uses.  The handlers live in jmokit.commands, one module per group, and each
-handler imports its layers when it runs: pins loads pinopt (and through it
+module imports its layer at the top: pins loads pinopt (and through it
 kernel), gcdset gcdperfect, pack tripack, cyclic cyclic, funceq funceq, and
 rect rectconcur; svg is imported only to render, and scan, behind
-pinopt.oracle_min_moves, only when pins oracle runs.
+pinopt.oracle_min_moves, only when pins oracle runs.  A call that names no
+group (-h, --version, a typo) loads no command module and no layer.
 
 One parser per process is shared by every run() call; each parse starts
 from a fresh Namespace, so no state carries over.  It is built group by
 group: _build_parser makes the top parser and the six group parsers, and
-run() imports the command module of the group that argv starts with, or of
-every group when argv starts with none (-h, --version, a typo), and adds its
-action parsers, each group once per parser.  The module declares each
-action's own arguments; cli then adds --json and --timings to every action
-parser, after those arguments, and sets its handler, the module's _<action>.
+run() imports the command module of the first group argv names, the one
+argparse reads, and adds its action parsers, each group once per parser.
+The module declares each action's own arguments; cli then adds --json and
+--timings to every action parser, after those arguments, and sets its
+handler, the module's _<action>.
 An argv `group action ...` whose arguments that start with - are each
 exactly one of the action's options (-h and --help aside) goes straight to
 that action parser, about a third of the whole tree's parse time.  Every
@@ -243,24 +244,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_actions(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Add the action parsers of the group that argv starts with, or of every
-    group when it starts with none (-h, --version, a typo, no argument).
-    Each group is filled in at most once per parser."""
-    names = [argv[0]] if argv and argv[0] in _GROUPS else list(_GROUPS)
-    for name in names:
-        group = parser.unbuilt.pop(name, None)
-        if group is not None:
-            actions = group.add_subparsers(dest="action", required=True)
-            # __import__, unlike importlib.import_module, shows in -X importtime
-            module = __import__(f"{__package__}.commands.{name}", fromlist=["add_actions"])
-            module.add_actions(actions)
-            for action, p in actions.choices.items():
-                # before the options are read, so --json and --timings take the direct parse
-                p.add_argument("--json", action="store_true", help="emit a JSON report envelope")
-                p.add_argument("--timings", action="store_true", help="include wall-clock timings")
-                p.set_defaults(handler=getattr(module, "_" + action))
-                options = p._option_string_actions.keys() - {"-h", "--help"}
-                parser.direct[name, action] = p, options
+    """Add the action parsers of the first group that argv names.  That is
+    the group argparse reads: the top parser takes no option with a value,
+    so an argument before it is a flag, `--`, or a typo that argparse
+    refuses.  An argv that names none (-h, --version, a typo, no argument)
+    adds none, since the top parser reads no action parser.  Each group is
+    filled in at most once per parser."""
+    name = next((arg for arg in argv if arg in _GROUPS), None)
+    group = parser.unbuilt.pop(name, None)
+    if group is None:
+        return
+    actions = group.add_subparsers(dest="action", required=True)
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    module = __import__(f"{__package__}.commands.{name}", fromlist=["add_actions"])
+    module.add_actions(actions)
+    for action, p in actions.choices.items():
+        # before the options are read, so --json and --timings take the direct parse
+        p.add_argument("--json", action="store_true", help="emit a JSON report envelope")
+        p.add_argument("--timings", action="store_true", help="include wall-clock timings")
+        p.set_defaults(handler=getattr(module, "_" + action))
+        options = p._option_string_actions.keys() - {"-h", "--help"}
+        parser.direct[name, action] = p, options
 
 
 def _parse_direct(parser: argparse.ArgumentParser, argv: list[str]):

@@ -6,10 +6,8 @@ arguments only, and one handler per action, named _<action> (_solve for
 `pins solve`).  cli adds --json and --timings to every action parser and
 sets its handler.  A handler takes the parsed Namespace and returns (exit
 code, envelope fields, human lines).  cli imports a group's module only
-when argv names that group, or every module when it names none (-h,
---version, a typo).  Each handler imports its layers when it runs, so that
-such a call loads no layer but rectconcur, whose DEFAULT_REL_TOL is a
-parser default.
+when argv names that group, so each module imports its layer at the top;
+only svg, which the renders alone use, is imported where it is used.
 
 This package also holds what the handlers share.  It lives here and not in
 cli, so that `python -m jmokit.cli`, which runs cli as __main__, does not

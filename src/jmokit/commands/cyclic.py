@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 
+from .. import cyclic
 from . import UsageError, finite, parse_file, write_file
 
 
 def _report_fields(v: cyclic.CycleVector, res: cyclic.ResidualReport, tol: float) -> dict:
     """The envelope's residual, identity and min/max fields, from v's residuals res."""
-    from .. import cyclic
-
     fields = {"residual_max_abs": res.max_abs}
     if res.max_abs <= tol:
         ident = cyclic.identity_checks(v, tol)
@@ -23,8 +22,6 @@ def _report_fields(v: cyclic.CycleVector, res: cyclic.ResidualReport, tol: float
 def _entries_file(path: str) -> tuple[cyclic.CycleVector, cyclic.ResidualReport]:
     """An entries file and its residuals; a malformed file, or one whose
     residuals overflow, exits 2 naming the file."""
-    from .. import cyclic
-
     v = parse_file(cyclic.parse_entries, path, "entries")
     res = cyclic.residuals(v)
     if not math.isfinite(res.max_abs):
@@ -34,8 +31,6 @@ def _entries_file(path: str) -> tuple[cyclic.CycleVector, cyclic.ResidualReport]
 
 
 def _solve(args) -> tuple[int, dict, list[str]]:
-    from .. import cyclic
-
     init = None
     if args.init:
         init, _ = _entries_file(args.init)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+from .. import funceq
 from . import parse_file
 
 
 def _check(args) -> tuple[int, dict, list[str]]:
-    from .. import funceq
-
     table = parse_file(funceq.parse_table, args.input, "table")
     violations = funceq.check_table(table)
     env_fields = {
@@ -27,8 +26,6 @@ def _check(args) -> tuple[int, dict, list[str]]:
 
 
 def _trace(args) -> tuple[int, dict, list[str]]:
-    from .. import funceq
-
     trace = funceq.forced_trace(args.limit)
     result = funceq.replay_trace(trace)
     rules = result.rule_counts

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .. import gcdperfect
 from . import UsageError
 
 
@@ -13,8 +14,6 @@ def _int_list(raw: str) -> list[int]:
 
 
 def _check(args) -> tuple[int, dict, list[str]]:
-    from .. import gcdperfect
-
     s = gcdperfect.GcdSet(_int_list(args.elements))
     report = gcdperfect.is_gcd_perfect(s)
     env_fields = {
@@ -36,8 +35,6 @@ def _check(args) -> tuple[int, dict, list[str]]:
 
 
 def _construct(args) -> tuple[int, dict, list[str]]:
-    from .. import gcdperfect
-
     s = gcdperfect.construct(args.k, _int_list(args.p), _int_list(args.q))
     report = gcdperfect.is_gcd_perfect(s)
     env_fields = {"elements": list(s.elements), "verdict": report.verdict}
@@ -47,8 +44,6 @@ def _construct(args) -> tuple[int, dict, list[str]]:
 
 
 def _search(args) -> tuple[int, dict, list[str]]:
-    from .. import gcdperfect
-
     budget = gcdperfect.DEFAULT_NODE_BUDGET if args.budget is None else args.budget
     sets = gcdperfect.search_size(args.size, args.max, node_budget=budget)
     env_fields = {

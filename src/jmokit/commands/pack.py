@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+from .. import tripack
 from . import UsageError, parse_file, write_file
 
 
@@ -36,8 +37,6 @@ def _human(report: tripack.PackingReport) -> list[str]:
 
 
 def _build(args) -> tuple[int, dict, list[str]]:
-    from .. import tripack
-
     try:
         side = tripack._rational(args.side, "--side")
         margin = tripack._rational(args.margin, "--margin")
@@ -55,15 +54,12 @@ def _build(args) -> tuple[int, dict, list[str]]:
 
 
 def _validate(args) -> tuple[int, dict, list[str]]:
-    from .. import tripack
-
     instance = parse_file(tripack.parse_packing, args.input, "packing")
     report = tripack.validate_packing(instance)
     return (0 if report.valid else 1), {"report": _report_fields(report)}, _human(report)
 
 
 def _render(args) -> tuple[int, dict, list[str]]:
-    from .. import tripack
     from ..svg import Scene
 
     instance = parse_file(tripack.parse_packing, args.input, "packing")

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+from .. import pinopt
+
 
 def _solve(args) -> tuple[int, dict, list[str]]:
-    from .. import pinopt
-
     cert = pinopt.min_moves(args.doubled_area)
     witness = [list(cert.witness.a_pin), list(cert.witness.b_pin), list(cert.witness.c_pin)]
     env_fields = {
@@ -24,8 +24,6 @@ def _solve(args) -> tuple[int, dict, list[str]]:
 
 
 def _oracle(args) -> tuple[int, dict, list[str]]:
-    from .. import pinopt
-
     cost = pinopt.oracle_min_moves(args.doubled_area, args.radius)
     env_fields = {"cost": cost, "radius": args.radius}
     return 0, env_fields, [f"exhaustive minimum cost: {cost}"]

@@ -65,9 +65,6 @@ class CycleVector:
     def __eq__(self, other):
         return isinstance(other, CycleVector) and (self.n, self.entries) == (other.n, other.entries)
 
-    def __hash__(self):
-        return hash((self.n, self.entries))
-
     def __repr__(self):
         return f"CycleVector(n={self.n!r}, entries={self.entries!r})"
 

@@ -57,19 +57,15 @@ class FunctionTable:
         if not values:
             raise ValueError("empty table")
         if isinstance(values, dict):
-            limit = max(values)
-            if len(values) != limit:
-                # probe before allocating: one-line tables can name a huge n
-                missing = next(n for n in range(1, len(values) + 2) if n not in values)
-                raise ValueError(f"table has no value for n = {missing}")
-            seq = [0] * (limit + 1)
-            for n, v in values.items():
-                seq[n] = v
-            low, high = min(values.values()), max(values.values())
-        else:
-            seq = [0, *values]
-            limit = len(values)
-            low, high = min(values), max(values)
+            # a dict of k entries is a table only if it holds n = 1..k; the
+            # probe stops at the first gap, so a one-line table may name a huge n
+            try:
+                values = [values[n] for n in range(1, len(values) + 1)]
+            except KeyError as exc:
+                raise ValueError(f"table has no value for n = {exc.args[0]}") from None
+        seq = [0, *values]
+        limit = len(values)
+        low, high = min(values), max(values)
         if low < 1 or high >= _VALUE_BOUND:
             n = next(n for n in range(1, limit + 1) if not 0 < seq[n] < _VALUE_BOUND)
             if abs(seq[n]) >= _VALUE_BOUND:
@@ -77,10 +73,6 @@ class FunctionTable:
             raise ValueError(f"f({n}) = {seq[n]} is not a positive integer")
         self.limit = limit
         self._values = seq
-
-    @classmethod
-    def constant(cls, limit: int, value: int = 1) -> "FunctionTable":
-        return cls([value] * limit)
 
     def __call__(self, n: int) -> int:
         return self._values[n]

@@ -92,12 +92,6 @@ class GcdSet:
     def __iter__(self):
         return iter(self.elements)
 
-    def __eq__(self, other):
-        return isinstance(other, GcdSet) and self.elements == other.elements
-
-    def __hash__(self):
-        return hash(self.elements)
-
     def __repr__(self):
         return f"GcdSet({list(self.elements)})"
 
@@ -110,7 +104,6 @@ class PerfectionReport(NamedTuple):
 
 class StructureReport(NamedTuple):
     prime_count: int  # the k with |S| = 2^k
-    size: int
 
 
 def is_gcd_perfect(S: GcdSet) -> PerfectionReport:
@@ -188,7 +181,7 @@ def structure_report(S: GcdSet) -> StructureReport:
     k = counts.pop()
     if len(S) != 2**k:
         raise RuntimeError(f"size {len(S)} != 2^{k}")
-    return StructureReport(prime_count=k, size=len(S))
+    return StructureReport(prime_count=k)
 
 
 def search_size(
@@ -231,7 +224,8 @@ def search_size(
     would need s | t, which no two pool members allow.  The map goes into
     the d(s) = |S| divisors of s, so it is onto as well, and S is
     gcd-perfect.  The call stays as the independent certificate of each
-    reported set.
+    reported set: a rejection could only come from a bug, so it raises
+    RuntimeError (internal-consistency alarm), as structure_report does.
 
     The masks are unions of per-member tables {d: bits of x with
     gcd(pool[a], pool[x]) == d}, one entry per divisor d of pool[a], built
@@ -283,8 +277,9 @@ def search_size(
                 mask ^= low
                 candidate = GcdSet([pool[i] for i in chosen] + [pool[low.bit_length() - 1]])
                 candidate._divs = divs
-                if is_gcd_perfect(candidate).verdict:
-                    found.append(candidate)
+                if not is_gcd_perfect(candidate).verdict:  # the docstring proves it never is
+                    raise RuntimeError(f"search reached {candidate!r}, which is not gcd-perfect")
+                found.append(candidate)
             return
         # a least member leaves target_size - 1 indices above it; below the
         # root, some chosen member always has an unmet divisor, so the loop

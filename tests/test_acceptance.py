@@ -61,7 +61,7 @@ def test_criterion_3_funceq():
     replay = funceq.replay_trace(funceq.forced_trace(10**6))
     assert replay.ok and replay.derived == 10**6
 
-    constant = funceq.FunctionTable.constant(1000)
+    constant = funceq.FunctionTable([1] * 1000)
     assert funceq.check_table(constant) == []
 
     rng = random.Random(2021)

@@ -323,6 +323,30 @@ def test_usage_errors_exit_two(capsys, tmp_path, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("cyclic", "solve", "--n", "4", "--tol", "0"),
+                     "tol must be positive\n", id="cyclic-tol-zero"),
+        pytest.param(("cyclic", "solve", "--n", "5", "--init", "{tmp}/eight.ent"),
+                     "init has n = 4, expected 5\n", id="cyclic-init-size"),
+        pytest.param(("gcdset", "construct", "--k", "-1"),
+                     "k must be nonnegative\n", id="construct-k-negative"),
+        pytest.param(("pins", "oracle", "--doubled-area", "0", "--radius", "3"),
+                     "doubled_area must be >= 1\n", id="oracle-area-zero"),
+        pytest.param(("pack", "build", "--side", "6", "--out", "{tmp}"),
+                     "cannot write ", id="pack-out-directory"),
+    ],
+)
+def test_layer_refusals_exit_two_with_one_error_line(capsys, tmp_path, argv, message):
+    # refusals raised inside the layers: exit 2, nothing on stdout, and one
+    # stderr line that starts with the message
+    (tmp_path / "eight.ent").write_text("1.0\n2.0\n" * 4)
+    code, out, err = call_outputs(capsys, [arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 def test_non_finite_envelope_exits_two(capsys, monkeypatch):
     # NaN and infinities are not JSON: a value that no handler check catches
     # is refused when the envelope is dumped, with nothing printed
@@ -489,6 +513,27 @@ def test_funceq_check_mutated_table(capsys, tmp_path):
     env = json.loads(out)
     assert env["violation_count"] >= 1
     assert env["violations"][0]["kind"] == "sum_rule"
+
+
+def test_funceq_check_human_lines_list_twenty_violations(capsys, tmp_path):
+    # a table of 2s breaks both rules 91 times up to 200; the human report
+    # lists the first 20 and counts the rest
+    table = tmp_path / "twos.txt"
+    table.write_text("".join(f"{n} 2\n" for n in range(1, 201)))
+    code, out = run_cli(capsys, "funceq", "check", "--input", str(table))
+    lines = out.splitlines()
+    assert (code, len(lines)) == (1, 22)
+    assert lines[0] == "table up to 200: 91 violation(s)"
+    assert lines[-1] == "  ... (71 more)"
+
+
+def test_timings_add_an_elapsed_line(capsys):
+    code, out = run_cli(capsys, "pins", "solve", "--doubled-area", "7", "--timings")
+    lines = out.splitlines()
+    assert (code, len(lines)) == (0, 3)
+    assert lines[0] == "doubled area 7: cost 6 (certified_optimal, lower bound 6)"
+    label, seconds, unit = lines[2].split()
+    assert (label, unit) == ("elapsed:", "s") and float(seconds) >= 0
 
 
 @contextlib.contextmanager
@@ -831,7 +876,8 @@ fresh_parser = cli._build_parser.__wrapped__  # a new parser on each call, every
 
 def parser_with_every_group():
     parser = fresh_parser()
-    cli._add_actions(parser, [])
+    for group in cli._GROUPS:
+        cli._add_actions(parser, [group])
     return parser
 
 
@@ -1027,6 +1073,28 @@ def test_a_fresh_call_imports_only_its_layer(tmp_path, argv, layer):
     loaded += {"pins": ["jmokit.pinopt", "jmokit.kernel"], "gcdset": ["jmokit.kernel"],
                "pack": ["jmokit.kernel", "decimal", "fractions"]}.get(argv[0], [])
     assert done.stdout.split() == ["0", *sorted(loaded)]
+
+
+NO_GROUP_PROBE = """
+import contextlib, io, sys
+from jmokit import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.run(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("jmokit.")))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(("--version",), 0), (("-h",), 0), (("nogroup",), 2),
+                                        ((), 2)], ids=["version", "help", "typo", "empty"])
+def test_a_call_that_names_no_group_loads_no_command_module(argv, code):
+    # the top parser reads no action parser, so no group's module and no
+    # layer loads
+    done = subprocess.run([sys.executable, "-c", NO_GROUP_PROBE, *argv], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == [str(code), "jmokit.cli", "jmokit.commands"]
 
 
 def test_no_module_loads_dataclasses():

@@ -41,12 +41,12 @@ def trace_from_steps(steps):
 
 
 def test_constant_table_has_no_violations():
-    assert check_table(FunctionTable.constant(100)) == []
+    assert check_table(FunctionTable([1] * 100)) == []
 
 
 def test_sum_rule_violation():
     # 5 = 1^2 + 2^2 and f(1) f(2) = 1, so f(5) = 2 breaks the sum rule
-    table = with_value(FunctionTable.constant(10), 5, 2)
+    table = with_value(FunctionTable([1] * 10), 5, 2)
     violations = check_table(table)
     assert any(
         v.kind == "sum_rule" and v.witnesses == (1, 2) and v.lhs == 2 and v.rhs == 1
@@ -56,7 +56,7 @@ def test_sum_rule_violation():
 
 def test_square_rule_violation():
     # f(2^2) = 3 but f(2)^2 = 1
-    table = with_value(FunctionTable.constant(10), 4, 3)
+    table = with_value(FunctionTable([1] * 10), 4, 3)
     violations = check_table(table)
     assert any(v.kind == "square_rule" and v.witnesses == (2,) for v in violations)
 
@@ -85,7 +85,7 @@ def test_table_rejects_values_past_the_digit_bound():
         with pytest.raises(ValueError, match=message):
             build()
     with pytest.raises(ValueError, match=rf"^f\(1\) has more than {MAX_VALUE_DIGITS} digits$"):
-        FunctionTable.constant(3, big)
+        FunctionTable([big] * 3)
     # the first bad n is named, whichever bound it breaks
     with pytest.raises(ValueError, match=r"^f\(2\) = 0 is not"):
         FunctionTable([1, 0, big])
@@ -99,6 +99,12 @@ def test_table_rejects_gaps():
                             ({n: 1 for n in range(1, 50)} | {10**9: 1}, 50)):
         with pytest.raises(ValueError, match=f"no value for n = {missing}$"):
             FunctionTable(values)
+
+
+def test_table_rejects_keys_outside_one_to_n():
+    # two entries that are not n = 1, 2 leave a gap, even when the largest key is 2
+    with pytest.raises(ValueError, match="^table has no value for n = 1$"):
+        FunctionTable({0: 1, 2: 1})
 
 
 def test_forced_trace_base_cases():
@@ -166,12 +172,12 @@ def test_replay_rejects_empty_trace():
 def test_trace_and_checker_agree_up_to_1000():
     for limit in range(1, 1001):
         assert replay_trace(forced_trace(limit)).ok
-    assert check_table(FunctionTable.constant(1000)) == []
+    assert check_table(FunctionTable([1] * 1000)) == []
 
 
 def test_single_point_mutations_are_caught():
     rng = random.Random(11)
-    base = FunctionTable.constant(1000)
+    base = FunctionTable([1] * 1000)
     for _ in range(50):
         n = rng.randint(1, 31)
         value = rng.randint(2, 9)

@@ -158,6 +158,15 @@ def test_search_size_four_finds_only_valid_squarefree_sets():
         assert structure_report(s).prime_count == 2
 
 
+def test_search_leaf_rejection_is_an_alarm(monkeypatch):
+    # the leaf check never rejects a set the walk reaches, so a rejection is a
+    # bug and raises, naming the set, instead of dropping it from the result
+    monkeypatch.setattr(gcdperfect, "is_gcd_perfect",
+                        lambda s: gcdperfect.PerfectionReport(False, None, len(s)))
+    with pytest.raises(RuntimeError, match=r"^search reached GcdSet\(\[2, 3\]\), which is not"):
+        search_size(2, 10)
+
+
 def test_search_budget_exhaustion():
     with pytest.raises(BudgetExceeded):
         search_size(2, 100, node_budget=3)
