@@ -31,6 +31,9 @@ def parse_file(parse, path: str, what: str):
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # read() decodes the whole file, so start is its offset
+        raise UsageError(f"bad {what} file: {path} is not UTF-8 "
+                         f"(byte {exc.start}: {exc.reason})") from exc
     try:
         return parse(text)
     except ValueError as exc:

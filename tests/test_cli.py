@@ -324,6 +324,30 @@ def test_usage_errors_exit_two(capsys, tmp_path, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, kind",
+    [
+        pytest.param(("funceq", "check", "--input", "{file}"), "table", id="funceq-check"),
+        pytest.param(("pack", "validate", "--input", "{file}"), "packing", id="pack-validate"),
+        pytest.param(("pack", "render", "--input", "{file}", "--svg", "{tmp}/never.svg"),
+                     "packing", id="pack-render"),
+        pytest.param(("cyclic", "verify", "--input", "{file}", "--json"), "entries",
+                     id="cyclic-verify"),
+        pytest.param(("cyclic", "solve", "--n", "4", "--init", "{file}"), "entries",
+                     id="cyclic-init"),
+    ],
+)
+def test_non_utf8_files_exit_two_naming_their_kind(capsys, tmp_path, argv, kind):
+    # byte 0xff at offset 6 cannot start a UTF-8 sequence
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1 1\n2 \xff\n")
+    argv = [arg.replace("{file}", str(path)).replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, out, err = call_outputs(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad {kind} file: {path} is not UTF-8 (byte 6: invalid start byte)\n"
+    assert not (tmp_path / "never.svg").exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         pytest.param(("cyclic", "solve", "--n", "4", "--tol", "0"),

@@ -594,3 +594,48 @@ def test_other_tables_reach_the_line_parser(monkeypatch, name):
     monkeypatch.setattr(funceq, "_parse_lines", refuse_line_parse)
     with pytest.raises(LineParse):
         parse_table(LINE_PARSE_TABLES[name])
+
+
+# -- the n column by hundreds ------------------------------------------------------
+
+
+def n_column_ranges():
+    # every lo, hi below 230, then every pair from the n near each power of
+    # ten from 100 to 10^5; hi <= lo gives an empty column
+    yield from ((lo, hi) for lo in range(1, 230) for hi in range(1, 230))
+    for power in (100, 1000, 10**4, 10**5):
+        near = [power + step for step in (-201, -200, -199, -101, -100, -99, -1, 0, 1,
+                                          99, 100, 101, 199, 200, 201)]
+        yield from ((lo, hi) for lo in near for hi in near)
+
+
+def test_n_column_matches_percent_d_formatting():
+    for lo, hi in n_column_ranges():
+        assert funceq._n_column(lo, hi) == "%d " * (hi - lo) % tuple(range(lo, hi)), (lo, hi)
+
+
+# lines of a 1234-line table edited at a hundred's edge; None deletes the line
+HUNDRED_EDGE_EDITS = {
+    "intact": {},
+    "line 200 missing": {200: None},
+    "n = 100 written 0100": {100: "0100 1"},
+    "999 and 1000 swapped": {999: "1000 1", 1000: "999 1"},
+    "n = 1000 written 100": {1000: "100 1"},
+    "n = 1100 written 1000": {1100: "1000 1"},
+    "n = 99 written 990": {99: "990 1"},
+}
+
+
+@pytest.mark.parametrize("block", [5, 37, 333, 1000, funceq.BLOCK])
+@pytest.mark.parametrize("name", HUNDRED_EDGE_EDITS)
+def test_parse_table_at_hundred_edges_matches_line_parser(monkeypatch, block, name):
+    # small blocks start mid-hundred, so each n column has a partial hundred at both ends
+    monkeypatch.setattr(funceq, "BLOCK", block)
+    edits = HUNDRED_EDGE_EDITS[name]
+    lines = (edits.get(k, f"{k} 1") for k in range(1, 1235))
+    text = "".join(f"{line}\n" for line in lines if line is not None)
+    expected = parse_outcome(reference_parse_table, text)
+    assert parse_outcome(parse_table, text) == expected
+    if name == "intact":
+        monkeypatch.setattr(funceq, "_parse_lines", refuse_line_parse)
+        assert parse_outcome(parse_table, text) == expected
