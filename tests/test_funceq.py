@@ -411,6 +411,12 @@ MALFORMED_TABLES = [
     "1 1\n2 1\r\n",
     # a value past int's 4300-digit limit
     "1 " + "9" * 5000 + "\n",
+    # value tokens outside the block reader's 1..999 lookup, and 999, on line
+    # 2, 4 or 6 of six: with BLOCK from 1 to 7 each is the last line of its
+    # block, lines 4 and 6 of a later block, and line 6 of the last block
+    *("".join(f"{k} {value if k == at else 1}\n" for k in range(1, 7))
+      for value in ["0", "00", "01", "999", "1000", "9" * 2150, "9" * 2151, "9" * 5000]
+      for at in (2, 4, 6)),
 ]
 
 
@@ -538,6 +544,11 @@ FAST_PATH_TABLES = {
     "one block": "\n".join(in_order_lines(50)),
     "four blocks": "\n".join(in_order_lines(50000)),
     "no final line feed": "1 1\n2 1",
+    # values the 1..999 lookup misses, which int converts
+    "every value written 01": "".join(f"{k} 01\n" for k in range(1, 50001)),
+    "every value 1000": "".join(f"{k} 1000\n" for k in range(1, 50001)),
+    "value 1000 on every 7000th line": "".join(f"{k} {1000 if k % 7000 == 0 else 1}\n"
+                                               for k in range(1, 50001)),
 }
 
 
@@ -547,7 +558,7 @@ def test_in_order_tables_skip_the_line_parser(monkeypatch, name):
     expected = parse_outcome(reference_parse_table, text)
     monkeypatch.setattr(funceq, "_parse_lines", refuse_line_parse)
     assert parse_outcome(parse_table, text) == expected
-    if name == "four blocks":
+    if name not in ("one block", "no final line feed"):
         assert len(text) > 4 * funceq.BLOCK
 
 
