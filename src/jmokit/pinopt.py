@@ -33,12 +33,12 @@ from .kernel import LatticePoint, isqrt_ceil_of_sqrt, shoelace_doubled
 CERTIFIED_OPTIMAL = "certified_optimal"
 # oracle_min_moves refuses larger radii and doubled areas; the doubled-area
 # bound is the contest instance, D = 4042 (cost 128).  The scan's time grows
-# with the doubled area, about as D^2.1 between 2000 and 4042, and hardly
-# with the radius: the cost bound stops the shell walk near half the minimum
+# with the doubled area, about as D^2 between 2000 and 4042, and hardly with
+# the radius: the cost bound stops the shell walk near half the minimum
 # cost, so at D = 2000 (cost 90) the scan walks the shells up to cost 45,
-# 4,141 points, at any radius from 45 to 1000.  A call takes 1.5 s at
-# D = 2000 and 6.5 s at D = 4042, at radius 127 or 1000, in a 15 MB process
-# (2-vCPU Xeon VM, Python 3.11).
+# 4,141 points, at any radius from 45 to 1000.  A fresh call takes about
+# 0.6 s at D = 2000 and 2.4-2.6 s at D = 4042, at radius 127 or 1000, in a
+# 15 MB process (2-vCPU Xeon VM, Python 3.11).
 MAX_ORACLE_RADIUS = 1000
 MAX_ORACLE_DOUBLED_AREA = 4042
 

@@ -47,7 +47,7 @@ def test_criterion_1_pins_solve_contest(capsys):
 
 def test_criterion_2_oracle_equivalence():
     crit = Criterion(2, limit_s=120.0)
-    for doubled in range(1, 26):
+    for doubled in range(1, 201):
         radius = pinopt.lower_bound(doubled) + 2
         exhaustive = pinopt.oracle_min_moves(doubled, radius)
         cert = pinopt.min_moves(doubled)

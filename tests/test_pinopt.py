@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import scan_reference
 from jmokit import scan
 from jmokit.kernel import LatticePoint
 from jmokit.pinopt import (
@@ -101,8 +102,8 @@ def test_min_moves_witness_area_is_exact():
 
 
 def test_oracle_equivalence_small():
-    # the family-based solver and the exhaustive scan agree on [1..25]
-    for doubled in range(1, 26):
+    # the family-based solver and the exhaustive scan agree on [1..200]
+    for doubled in range(1, 201):
         bound = lower_bound(doubled)
         exhaustive = oracle_min_moves(doubled, bound + 2)
         cert = min_moves(doubled)
@@ -162,6 +163,81 @@ def test_scan_matches_triple_loop_reference():
     for doubled, radius, cap in scan_reference_cases():
         expected = reference_min_cost_triangle(doubled, radius, cap)
         assert scan.min_cost_triangle(doubled, radius, cap) == expected, (doubled, radius, cap)
+
+
+def test_scan_matches_the_reference_pair_scan_beyond_radius_8():
+    # 360 cases at radius 9-24; doubled areas up to 200 keep the reference
+    # loop near a second, and caps r + 1 leave some of them unreachable
+    rng = random.Random(4042)
+    for _ in range(120):
+        radius, doubled = rng.randint(9, 24), rng.randint(1, 200)
+        for cap in (radius + 1, 2 * radius, 3 * radius):
+            expected = scan_reference.min_cost_triangle(doubled, radius, cap)
+            assert scan.min_cost_triangle(doubled, radius, cap) == expected, (doubled, radius, cap)
+
+
+def scans_with_calls(monkeypatch, cases):
+    """For each (doubled, radius, cap): the scan's result, and (p_i, p_j, r, found)
+    for each pair the scan hands to its third-vertex search."""
+    least_third, log = scan._least_third, []
+
+    def spy(xi, yi, ux, uy, doubled_area, r):
+        found = least_third(xi, yi, ux, uy, doubled_area, r)
+        log[-1].append(((xi, yi), (xi + ux, yi + uy), r, found))
+        return found
+
+    monkeypatch.setattr(scan, "_least_third", spy)
+    for case in cases:
+        log.append([])
+        yield scan.min_cost_triangle(*case), log[-1]
+
+
+def admitted_best(calls, radius, cap):
+    """The best cost after calls, each checked to be a pair the cost bound admits."""
+    # pairs come in (cost, x, y) order, each at the r the bound gives, and
+    # each hit is strictly cheaper than the best before it
+    best, last = cap + 1, None
+    for pi, pj, r, found in calls:
+        ki, kj = ((abs(x) + abs(y), x, y) for x, y in (pi, pj))
+        assert ki < kj and (last is None or last < (ki, kj)), (pi, pj)
+        last = ki, kj
+        ci, cj = ki[0], kj[0]
+        assert 3 * ci < best and 2 * cj < best - ci, (pi, pj, best)
+        assert r == min(radius, best - 1 - ci - cj), (pi, pj, r, best)
+        if found is not None:
+            assert ci + cj + found[0] < best, (pi, pj, found, best)
+            best = ci + cj + found[0]
+    return best
+
+
+def test_a_hit_ends_the_rest_of_its_shell(monkeypatch):
+    # the hit at p_i = (0, 0), p_j = (-2, -1) sets best = 6 = 0 + 2*3, so the
+    # rest of shell 3, (0, -3), (0, 3) and (3, 0), is not paired with (0, 0)
+    [(result, calls)] = scans_with_calls(monkeypatch, [(5, 3, 6)])
+    assert result == scan_reference.min_cost_triangle(5, 3, 6)
+    assert calls[5] == ((0, 0), (-2, -1), 3, (3, -1, 2))
+    assert calls[6][0] == (-1, 0)
+    assert admitted_best(calls, 3, 6) == result[0]
+
+
+def test_a_hit_lowers_r_for_the_rest_of_its_shell(monkeypatch):
+    # the hit at p_i = (0, 0), p_j = (-2, -1) sets best = 7, so (0, -3),
+    # (0, 3) and (3, 0), the rest of shell 3, are searched with r = 3; with r
+    # left at 4 the scan ends on another witness of cost 6
+    [(result, calls)] = scans_with_calls(monkeypatch, [(7, 4, 8)])
+    assert result == scan_reference.min_cost_triangle(7, 4, 8)
+    assert calls[5] == ((0, 0), (-2, -1), 4, (4, -1, 3))
+    assert [(pj, r) for _, pj, r, _ in calls[6:9]] == [((0, -3), 3), ((0, 3), 3), ((3, 0), 3)]
+    assert admitted_best(calls, 4, 8) == result[0]
+
+
+def test_scan_hands_on_only_admitted_pairs(monkeypatch):
+    cases = [(doubled, radius, cap) for radius in range(1, 7)
+             for doubled in range(1, 4 * radius * radius + 3)
+             for cap in (radius + 1, 2 * radius, 3 * radius)]
+    for (doubled, radius, cap), (result, calls) in zip(cases, scans_with_calls(monkeypatch, cases)):
+        best = admitted_best(calls, radius, cap)
+        assert best == (cap + 1 if result is None else result[0]), (doubled, radius, cap)
 
 
 def test_scan_memory_is_bounded():
