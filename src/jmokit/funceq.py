@@ -40,7 +40,8 @@ BLOCK = 1 << 16          # characters parse_table reads at a time
 MAX_VALUE_DIGITS = 2150  # so every f(a) f(b) stays within int's 4300-digit str() limit
 _VALUE_BOUND = 10 ** MAX_VALUE_DIGITS
 _SMALL = {str(i).encode(): i for i in range(1, 1000)}  # b"1" .. b"999": no b"0", no leading zero
-_HUNDRED = ["", *(f"{i:02d} " for i in range(100))]  # str(q).join: "q00 q01 ... q99 "
+# str(q).join(_HUNDRED[tail]) writes n = 100q .. 100q + 99, each followed by tail
+_HUNDRED = {tail: ["", *(f"{i:02d}{tail}" for i in range(100))] for tail in (" ", " 1\n")}
 
 
 class FunctionTable:
@@ -259,19 +260,24 @@ def parse_table(text: str) -> FunctionTable:
     in ASCII digits with one space, listing n = 1, 2, ... in order.  It reads
     blocks of about BLOCK characters, each cut right after a line feed (one
     is added to a text that does not end in one), so a block's lines are
-    those of the whole text.  Each block is encoded once and tested as bytes.
-    A block is plain when, with its digits deleted, it is b" \n" repeated,
-    one pair per two tokens of its split(); its n tokens must then equal
-    str(lo), str(lo + 1), ..., which one comparison of the space-joined
-    tokens with _n_column tests, and only its value column is converted.
-    Value tokens 1 to 999 without a leading zero are looked up in _SMALL;
-    a block holding any other value token is converted again with int.  Any
-    other text (comments, blank lines, CRLF ends, a leading zero in n, a
-    value past int's 4300-digit limit, an n out of order, or a malformed
-    line) is read by _parse_lines.  10^5 lines take about 12 ms plain with
-    values 1 to 999, 23 ms plain with values past 999, 66 ms with CRLF ends,
-    72 ms with a comment on each line, and 67 ms reversed (best of 30,
-    2-vCPU Xeon VM, Python 3.11).
+    those of the whole text.  A block of k lines whose first n is lo, that
+    ends in " 1\n" and starts with "lo 1\n", is first compared, as one
+    string, with the text of f = 1 on [lo, lo + k), _n_column(lo, lo + k,
+    " 1\n"); if equal, it adds k values 1 with no split and no conversion.
+    Any other block is encoded once and tested as bytes.  It is plain when,
+    with its digits deleted, it is b" \n" repeated, one pair per two tokens
+    of its split(); its n tokens must then equal str(lo), str(lo + 1), ...,
+    which one comparison of the space-joined tokens with _n_column tests,
+    and only its value column is converted.  Value tokens 1 to 999 without
+    a leading zero are looked up in _SMALL; a block holding any other value
+    token is converted again with int.  Any other text (comments, blank
+    lines, CRLF ends, a leading zero in n, a value past int's 4300-digit
+    limit, an n out of order, or a malformed line) is read by _parse_lines.
+    10^5 lines take about 5.7 ms for f = 1 (14 ms before the comparison),
+    6.1 ms for f = 1 with one value 2, 13 ms plain with values 1 to 7, 24 ms
+    plain with values past 999, 70 ms with CRLF ends, 77 ms with a comment
+    on each line, and 70 ms reversed (best of 30, 2-vCPU Xeon VM, Python
+    3.11).
     """
     if not text.endswith("\n"):
         text += "\n"
@@ -279,12 +285,19 @@ def parse_table(text: str) -> FunctionTable:
     start = 0
     while start < len(text):
         cut = text.find("\n", start + BLOCK) + 1 or len(text)
+        lo = len(values) + 1
+        if text.endswith(" 1\n", start, cut) and text.startswith(f"{lo} 1\n", start, cut):
+            k = text.count("\n", start, cut)
+            if text[start:cut] == _n_column(lo, lo + k, " 1\n"):  # f = 1 on [lo, lo + k)
+                values += [1] * k
+                start = cut
+                continue
         block = text[start:cut].encode()
         start = cut
         seps = block.translate(None, b"0123456789")
-        lo, k = len(values) + 1, len(seps) // 2
+        k = len(seps) // 2
         if not (seps.count(b" \n") * 2 == len(seps) == len(tokens := block.split())
-                and b" ".join(tokens[0::2]).decode() + " " == _n_column(lo, lo + k)):
+                and b" ".join(tokens[0::2]).decode() + " " == _n_column(lo, lo + k, " ")):
             return _parse_lines(text)
         try:
             values += map(_SMALL.__getitem__, tokens[1::2])
@@ -297,15 +310,17 @@ def parse_table(text: str) -> FunctionTable:
     return FunctionTable(values)
 
 
-def _n_column(lo: int, hi: int) -> str:
-    """The "%d " formatting of each n in range(lo, hi), with one str() for
-    each full hundred 100q .. 100q + 99 (q >= 1) instead of one per n."""
+def _n_column(lo: int, hi: int, tail: str) -> str:
+    """The "%d" + tail formatting of each n in range(lo, hi), with one str()
+    for each full hundred 100q .. 100q + 99 (q >= 1) instead of one per n.
+    tail is a key of _HUNDRED: " " for the n column, " 1\n" for f = 1."""
     first, last = max(-(-lo // 100), 1), hi // 100  # the full hundreds are q in [first, last)
+    line, hundred = "%d" + tail, _HUNDRED[tail]
     if first >= last:
-        return "%d " * (hi - lo) % tuple(range(lo, hi))
-    return ("%d " * (100 * first - lo) % tuple(range(lo, 100 * first))
-            + "".join([str(q).join(_HUNDRED) for q in range(first, last)])
-            + "%d " * (hi - 100 * last) % tuple(range(100 * last, hi)))
+        return line * (hi - lo) % tuple(range(lo, hi))
+    return (line * (100 * first - lo) % tuple(range(lo, 100 * first))
+            + "".join([str(q).join(hundred) for q in range(first, last)])
+            + line * (hi - 100 * last) % tuple(range(100 * last, hi)))
 
 
 def _parse_lines(text: str) -> FunctionTable:

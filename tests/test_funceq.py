@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -621,8 +622,11 @@ def n_column_ranges():
 
 
 def test_n_column_matches_percent_d_formatting():
-    for lo, hi in n_column_ranges():
-        assert funceq._n_column(lo, hi) == "%d " * (hi - lo) % tuple(range(lo, hi)), (lo, hi)
+    # both line tails: the n column of the token route and the text of f = 1
+    for tail in (" ", " 1\n"):
+        for lo, hi in n_column_ranges():
+            expected = ("%d" + tail) * (hi - lo) % tuple(range(lo, hi))
+            assert funceq._n_column(lo, hi, tail) == expected, (tail, lo, hi)
 
 
 # lines of a 1234-line table edited at a hundred's edge; None deletes the line
@@ -650,3 +654,105 @@ def test_parse_table_at_hundred_edges_matches_line_parser(monkeypatch, block, na
     if name == "intact":
         monkeypatch.setattr(funceq, "_parse_lines", refuse_line_parse)
         assert parse_outcome(parse_table, text) == expected
+
+
+# -- blocks that spell f = 1 -------------------------------------------------------
+
+
+def block_first_lines(text, block):
+    """The 1-based numbers of the lines that start a block when text is read
+    BLOCK = block characters at a time, each block cut right after a line feed."""
+    firsts, start = [1], 0
+    while (cut := text.find("\n", start + block) + 1) and cut < len(text):
+        firsts.append(firsts[-1] + text.count("\n", start, cut))
+        start = cut
+    return firsts
+
+
+# one-line edits of a table of f = 1: a new text for line n, or a move of lines
+NEAR_ONE_EDITS = {"value 2": "{n} 2", "value 10": "{n} 10", "value 01": "{n} 01",
+                  "n written 0n": "0{n} 1", "deleted": None, "swapped": None}
+
+
+@functools.lru_cache(maxsize=None)
+def constant_lines(size):
+    return tuple(in_order_lines(size))
+
+
+def near_one_table(size, at, edit, final_line_feed):
+    """f = 1 on [1..size] with line `at` edited; a swap exchanges line `at`
+    with the next line, or with the line before it when `at` is the last."""
+    lines = list(constant_lines(size))
+    i = at - 1
+    if edit == "deleted":
+        del lines[i]
+    elif edit == "swapped":
+        j = i + 1 if at < size else i - 1
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[i] = NEAR_ONE_EDITS[edit].format(n=at)
+    return "\n".join(lines) + ("\n" if final_line_feed else "")
+
+
+def sparse(outcome):
+    """An error text as it is; values as their count and the (n, f(n)) with f(n) != 1."""
+    if isinstance(outcome, str):
+        return outcome
+    return len(outcome), [(n, v) for n, v in enumerate(outcome, start=1) if v != 1]
+
+
+@functools.lru_cache(maxsize=None)
+def near_one_reference(size, at, edit, final_line_feed):
+    # the same edit is reached from several BLOCK values, so each is parsed once here
+    return sparse(parse_outcome(reference_parse_table,
+                                near_one_table(size, at, edit, final_line_feed)))
+
+
+@pytest.mark.parametrize("size", [1234, 50000])
+@pytest.mark.parametrize("block", [5, 37, 333, 1000, funceq.BLOCK])
+def test_near_constant_tables_match_line_parser(monkeypatch, size, block):
+    # one line edited in a table of f = 1: the block that holds it fails the
+    # comparison with the text of f = 1 and takes the token route
+    monkeypatch.setattr(funceq, "BLOCK", block)
+    firsts = block_first_lines("\n".join(constant_lines(size)) + "\n", block) + [size + 1]
+    middle_block = (len(firsts) - 1) // 2
+    # first and last line of the middle block, the middle line, and the last
+    # line of a text with no final line feed; small blocks hold one line each,
+    # so a position is tried once however many of these it is
+    where = {(firsts[middle_block], True), (firsts[middle_block + 1] - 1, True),
+             ((size + 1) // 2, True), (size, False)}
+    for at, final_line_feed in sorted(where):
+        for edit in NEAR_ONE_EDITS:
+            text = near_one_table(size, at, edit, final_line_feed)
+            expected = near_one_reference(size, at, edit, final_line_feed)
+            assert sparse(parse_outcome(parse_table, text)) == expected, (at, edit, final_line_feed)
+
+
+class NoTokenRoute:
+    def __getitem__(self, token):
+        raise AssertionError(f"the token route read {token!r}")
+
+
+@pytest.mark.parametrize("final_line_feed", [True, False])
+def test_constant_tables_skip_the_token_route(monkeypatch, final_line_feed):
+    # every block of an intact f = 1 table is read by one string comparison
+    text = "\n".join(in_order_lines(50000)) + ("\n" if final_line_feed else "")
+    assert len(text) > 4 * funceq.BLOCK
+    monkeypatch.setattr(funceq, "_SMALL", NoTokenRoute())
+    monkeypatch.setattr(funceq, "_parse_lines", refuse_line_parse)
+    assert parse_outcome(parse_table, text) == [1] * 50000
+
+
+def test_one_mutation_sends_one_block_down_the_token_route(monkeypatch):
+    lookups = []
+
+    class CountingSmall(dict):
+        def __getitem__(self, token):
+            lookups.append(token)
+            return super().__getitem__(token)
+
+    monkeypatch.setattr(funceq, "_SMALL", CountingSmall(funceq._SMALL))
+    text = "".join(f"{k} {2 if k == 25000 else 1}\n" for k in range(1, 50001))
+    assert parse_outcome(parse_table, text) == [2 if k == 25000 else 1 for k in range(1, 50001)]
+    # a block holds at most BLOCK characters plus the rest of one line, and a line at least 4
+    assert b"2" in lookups and len(lookups) <= (funceq.BLOCK + 16) // 4
