@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 from itertools import count
+from math import isqrt, pi
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 BASE_ONE = "base_one"
@@ -39,6 +40,7 @@ MAX_TRACE_LIMIT = 10**8  # the replay bitmap takes one byte per n: 100 MB at the
 BLOCK = 1 << 16          # characters parse_table reads at a time
 MAX_VALUE_DIGITS = 2150  # so every f(a) f(b) stays within int's 4300-digit str() limit
 _VALUE_BOUND = 10 ** MAX_VALUE_DIGITS
+_SPAN = 256             # entries per slice when FunctionTable looks for its values other than 1
 _SMALL = {str(i).encode(): i for i in range(1, 1000)}  # b"1" .. b"999": no b"0", no leading zero
 # str(q).join(_HUNDRED[tail]) writes n = 100q .. 100q + 99, each followed by tail
 _HUNDRED = {tail: ["", *(f"{i:02d}{tail}" for i in range(100))] for tail in (" ", " 1\n")}
@@ -51,9 +53,20 @@ class FunctionTable:
     implies both factors = 1" is only valid over positive integers.  A value
     may have at most MAX_VALUE_DIGITS digits, so that every product the
     checker reports can be written out in decimal.
+
+    Every entry is validated, but an entry equal to 1 needs no test of its
+    own.  One list.count(1) gives the number k of values other than 1 (a
+    table whose first 2 _sparse_bound(N) + 2 entries already hold more than
+    _sparse_bound(N) of them skips that count).  When k <= _sparse_bound(N),
+    the switch point (13 at N = 10^4, 41 at 10^5, 130 at 10^6), the k
+    entries are found by count(1) on slices of _SPAN entries and a scan of
+    only the slices that hold one; only they are tested, and their sorted n
+    are kept in _others for check_table's sparse route.  Otherwise _others
+    is None and validation is one min and one max over the table.  Either
+    way a refusal names the first offending n.
     """
 
-    __slots__ = ("limit", "_values")
+    __slots__ = ("limit", "_values", "_others")
 
     def __init__(self, values: dict[int, int] | list[int]):
         if not values:
@@ -67,17 +80,46 @@ class FunctionTable:
                 raise ValueError(f"table has no value for n = {exc.args[0]}") from None
         seq = [0, *values]
         limit = len(values)
-        low, high = min(values), max(values)
-        if low < 1 or high >= _VALUE_BOUND:
-            n = next(n for n in range(1, limit + 1) if not 0 < seq[n] < _VALUE_BOUND)
-            if abs(seq[n]) >= _VALUE_BOUND:
-                raise ValueError(f"f({n}) has more than {MAX_VALUE_DIGITS} digits")
-            raise ValueError(f"f({n}) = {seq[n]} is not a positive integer")
+        most = _sparse_bound(limit)
+        head = values[:2 * most + 2]  # tells a table of mostly other values without a full count
+        others = None
+        if len(head) - head.count(1) <= most and (k := limit - values.count(1)) <= most:
+            others = _find_others(values, k)
+        suspects = others
+        if others is None:
+            suspects = range(1, limit + 1) if min(values) < 1 or max(values) >= _VALUE_BOUND else ()
+        for n in suspects:
+            if not 0 < seq[n] < _VALUE_BOUND:
+                if abs(seq[n]) >= _VALUE_BOUND:
+                    raise ValueError(f"f({n}) has more than {MAX_VALUE_DIGITS} digits")
+                raise ValueError(f"f({n}) = {seq[n]} is not a positive integer")
         self.limit = limit
         self._values = seq
+        self._others = others
 
     def __call__(self, n: int) -> int:
         return self._values[n]
+
+
+def _sparse_bound(limit: int) -> int:
+    """The most values other than 1 for which check_table takes its sparse
+    route on a table of this limit N.  Each value other than 1 touches at
+    most 3 isqrt(N) + 2 instances, and the full loop visits about pi N / 8,
+    so the bound is the largest k with k (3 isqrt(N) + 2) <= pi N / 8:
+    0 below N = 59, 13 at 10^4, 41 at 10^5 and 130 at 10^6."""
+    return int(pi * limit / (8 * (3 * isqrt(limit) + 2)))
+
+
+def _find_others(values: list[int], k: int) -> list[int]:
+    """The n, in order, with values[n - 1] != 1, given that there are k of them."""
+    found: list[int] = []
+    for lo in range(0, len(values), _SPAN):
+        if len(found) >= k:
+            break
+        span = values[lo:lo + _SPAN]
+        if span.count(1) != len(span):
+            found += [n for n, v in enumerate(span, lo + 1) if v != 1]
+    return found
 
 
 class Violation(NamedTuple):
@@ -138,7 +180,47 @@ def check_table(table: FunctionTable) -> list[Violation]:
     a^2 + b^2 <= N; square_rule instances are the a with a^2 <= N.
     Violations are reported in lexicographic witness order, sum rule first,
     so mutation tests see every broken constraint rather than only the first.
+
+    An instance whose entries are all 1 holds, since 1 = 1 * 1.  So when the
+    table keeps the n with f(n) != 1 in _others (at most _sparse_bound(N) of
+    them), only the instances that touch one of them are tested: for each
+    such m, the sum-rule pairs (m, b) with b >= m, (a, m) with a < m and
+    each m = a^2 + b^2, and the square-rule a = m and a = isqrt(m) when m is
+    a square.  That is at most 3 isqrt(N) + 2 instances an m, against about
+    pi N / 8 for the full loop, _check_all, which runs when _others is None.
+    The sparse route keeps the witnesses of the violations it finds, and
+    sorts them.
     """
+    others = table._others
+    if others is None:
+        return _check_all(table)
+    n, f = table.limit, table._values
+    pairs: set[tuple[int, int]] = set()  # witnesses of the violations found
+    roots: set[int] = set()
+    for m in others:
+        fm, m2 = f[m], m * m
+        top = isqrt(n - m2) if m2 < n else 0  # the largest c with m^2 + c^2 <= N
+        for b in range(m, top + 1):
+            if f[m2 + b * b] != fm * f[b]:
+                pairs.add((m, b))
+        for a in range(1, min(m - 1, top) + 1):
+            if f[a * a + m2] != f[a] * fm:
+                pairs.add((a, m))
+        for a in range(1, isqrt(m // 2) + 1):
+            b = isqrt(m - a * a)
+            if a * a + b * b == m and fm != f[a] * f[b]:
+                pairs.add((a, b))
+        if m2 <= n and f[m2] != fm * fm:
+            roots.add(m)
+        r = isqrt(m)
+        if r * r == m and fm != f[r] * f[r]:
+            roots.add(r)
+    return ([Violation("sum_rule", (a, b), f[a * a + b * b], f[a] * f[b]) for a, b in sorted(pairs)]
+            + [Violation("square_rule", (a,), f[a * a], f[a] ** 2) for a in sorted(roots)])
+
+
+def _check_all(table: FunctionTable) -> list[Violation]:
+    """check_table's full loop: every instance, in witness order."""
     n = table.limit
     f = table._values
     out: list[Violation] = []
@@ -273,11 +355,11 @@ def parse_table(text: str) -> FunctionTable:
     token is converted again with int.  Any other text (comments, blank
     lines, CRLF ends, a leading zero in n, a value past int's 4300-digit
     limit, an n out of order, or a malformed line) is read by _parse_lines.
-    10^5 lines take about 5.7 ms for f = 1 (14 ms before the comparison),
-    6.1 ms for f = 1 with one value 2, 13 ms plain with values 1 to 7, 24 ms
-    plain with values past 999, 70 ms with CRLF ends, 77 ms with a comment
-    on each line, and 70 ms reversed (best of 30, 2-vCPU Xeon VM, Python
-    3.11).
+    10^5 lines take about 2.5 ms for f = 1 (14 ms before the comparison,
+    5 ms before FunctionTable's count of values other than 1), 3.8 ms for
+    f = 1 with one value 2, 14 ms plain with values 1 to 7, 24 ms plain with
+    values past 999, 65 ms with CRLF ends, 70 ms with a comment on each
+    line, and 70 ms reversed (best of 30, 2-vCPU Xeon VM, Python 3.11).
     """
     if not text.endswith("\n"):
         text += "\n"

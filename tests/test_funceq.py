@@ -1,7 +1,11 @@
 import functools
+import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
+from funceq_reference import reference_check_table
 
 from jmokit import funceq
 from jmokit.funceq import (
@@ -756,3 +760,160 @@ def test_one_mutation_sends_one_block_down_the_token_route(monkeypatch):
     assert parse_outcome(parse_table, text) == [2 if k == 25000 else 1 for k in range(1, 50001)]
     # a block holds at most BLOCK characters plus the rest of one line, and a line at least 4
     assert b"2" in lookups and len(lookups) <= (funceq.BLOCK + 16) // 4
+
+
+# -- the sparse route: only the entries where f(n) != 1 --------------------------------
+
+
+def sparse_route(values):
+    """FunctionTable(values) with _others set, so that check_table takes the
+    sparse route whatever the number of values other than 1."""
+    table = FunctionTable(values)
+    table._others = [n for n, v in enumerate(values, start=1) if v != 1]
+    return table
+
+
+def assert_routes_match_reference(values):
+    expected = reference_check_table(values)
+    table = FunctionTable(values)
+    assert check_table(table) == expected
+    assert funceq._check_all(table) == expected
+    assert check_table(sparse_route(values)) == expected
+
+
+def ones_with(size, edits):
+    values = [1] * size
+    for n, v in edits.items():
+        values[n - 1] = v
+    return values
+
+
+def test_sparse_bound_values():
+    # the largest k with k (3 isqrt(N) + 2) <= pi N / 8, as the docstrings quote it
+    assert [funceq._sparse_bound(n) for n in (1, 12, 58, 59, 10**4, 10**5, 10**6)] == [
+        0, 0, 0, 1, 13, 41, 130]
+
+
+def test_every_small_table_of_ones_and_twos_matches_reference():
+    for size in range(1, 13):
+        for values in itertools.product((1, 2), repeat=size):
+            assert_routes_match_reference(list(values))
+
+
+@pytest.mark.parametrize("k", range(2 * funceq._sparse_bound(10**4) + 1))
+def test_seeded_tables_match_reference(k):
+    rng = random.Random(k)
+    ats = sorted(rng.sample(range(1, 10**4 + 1), k))
+    values = ones_with(10**4, {n: rng.choice([2, 3, 9, 10**6]) for n in ats})
+    table = FunctionTable(values)
+    assert table._others == (ats if k <= funceq._sparse_bound(10**4) else None)
+    assert_routes_match_reference(values)
+
+
+# n = 1 and n = N, squares, and sums of two squares in one (25), two (50, 65),
+# three (325) and four (1105) ways with a <= b
+SPECIAL_EDITS = [
+    *({n: 2} for n in (1, 2, 4, 5, 9, 16, 25, 36, 44, 50, 65, 325, 1105, 1936, 2000)),
+    {25: 3}, {5: 2, 25: 4}, {3: 2, 4: 2, 25: 4}, {5: 2, 25: 4, 625: 16},
+    {1: 2, 2000: 2}, {25: 2, 1105: 2}, {50: 2, 65: 3, 325: 5},
+    {n: 2 for n in (1, 4, 9, 25, 50, 65, 325, 1105, 1936, 2000)},
+]
+
+
+@pytest.mark.parametrize("edits", SPECIAL_EDITS, ids=str)
+def test_special_points_match_reference(edits):
+    assert_routes_match_reference(ones_with(2000, edits))
+
+
+@pytest.mark.parametrize("at", [(1,), (5,), (25,), (1105,), (2000,), (5, 25), (3, 4, 25)], ids=str)
+def test_a_value_of_2150_digits_among_ones_matches_reference(at):
+    values = ones_with(2000, {n: 10**2149 for n in at})
+    assert FunctionTable(values)._others == list(at)
+    assert_routes_match_reference(values)
+
+
+# (edits to f = 1 on [1..10^4], or a full-route table), the refusal text
+TOO_LONG = f"has more than {MAX_VALUE_DIGITS} digits"
+REFUSALS = [
+    ({1: 0}, "f(1) = 0 is not a positive integer"),
+    ({5000: -1}, "f(5000) = -1 is not a positive integer"),
+    ({10**4: 0}, "f(10000) = 0 is not a positive integer"),
+    ({77: 10**2150}, f"f(77) {TOO_LONG}"),
+    ({77: -10**2150}, f"f(77) {TOO_LONG}"),
+    ({10**4: 10**5000}, f"f(10000) {TOO_LONG}"),
+    ({3: 2, 60: 7, 61: -5, 62: 0, 9000: 3}, "f(61) = -5 is not a positive integer"),
+    ({3: 2, 60: 10**2150, 61: 0}, f"f(60) {TOO_LONG}"),
+    ({n: 2 for n in range(1, 15)} | {9999: 0}, "f(9999) = 0 is not a positive integer"),
+    ({n: 2 for n in range(1, 15)} | {15: 10**2150, 16: 0}, f"f(15) {TOO_LONG}"),
+    ({n: 2 for n in range(9980, 9994)} | {9999: 0}, "f(9999) = 0 is not a positive integer"),
+    ({n: n % 7 + 1 for n in range(1, 10**4 + 1)} | {4242: -3},
+     "f(4242) = -3 is not a positive integer"),
+]
+
+
+@pytest.mark.parametrize("edits, message", REFUSALS, ids=[m for _, m in REFUSALS])
+def test_refusals_name_the_first_offending_n(edits, message):
+    # the same text whichever route validates the table, from a list or a dict
+    values = ones_with(10**4, edits)
+    for build in (values, dict(enumerate(values, start=1))):
+        with pytest.raises(ValueError) as refusal:
+            FunctionTable(build)
+        assert str(refusal.value) == message
+
+
+def refuse(*args):
+    raise AssertionError("a full pass over the table")
+
+
+@pytest.mark.parametrize("edits", [{}, {1: 2}, {50000: 2}, {10**5: 7}, {99856: 10**2149}],
+                         ids=str)
+def test_near_constant_tables_skip_both_full_passes(monkeypatch, edits):
+    values = ones_with(10**5, edits)
+    with monkeypatch.context() as patch:
+        patch.setattr(funceq, "min", refuse, raising=False)
+        patch.setattr(funceq, "max", refuse, raising=False)
+        table = FunctionTable(values)
+    assert table._others == sorted(edits)
+    monkeypatch.setattr(funceq, "_check_all", refuse)
+    assert check_table(table) == reference_check_table(values)
+
+
+def test_mixed_tables_take_both_full_passes(monkeypatch):
+    calls = []
+
+    def record(name, pass_):
+        def wrapped(*args):
+            calls.append(name)
+            return pass_(*args)
+        return wrapped
+
+    monkeypatch.setattr(funceq, "min", record("min", min), raising=False)
+    monkeypatch.setattr(funceq, "max", record("max", max), raising=False)
+    monkeypatch.setattr(funceq, "_check_all", record("check", funceq._check_all))
+    values = [k % 7 + 1 for k in range(10**5)]
+    table = FunctionTable(values)
+    violations = check_table(table)
+    assert table._others is None and calls == ["min", "max", "check"]
+    assert len(violations) == len(reference_check_table(values))
+
+
+def test_sparse_route_memory_is_bounded_by_its_violations():
+    # k just under the switch at N = 10^6; a set of the instances it visits
+    # would hold about 60,000 pairs, several MB
+    size = 10**6
+    rng = random.Random(38)
+    k = funceq._sparse_bound(size)
+    ats = [2, *rng.sample(range(1001, size + 1), k - 1)]
+    table = FunctionTable(ones_with(size, dict.fromkeys(ats, 2)))
+    assert table._others == sorted(ats)
+    tracemalloc.start()
+    try:
+        violations = check_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sys.getsizeof(violations) + sum(sys.getsizeof(v) + sys.getsizeof(v.witnesses)
+                                           for v in violations)
+    assert len(violations) > 1000
+    assert peak <= 3 * held + 2**14
+    assert violations == funceq._check_all(table)
